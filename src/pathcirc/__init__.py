@@ -79,6 +79,8 @@ from .universal import (
 )
 from .verifiers import (
     KpMorphism,
+    Verifier,
+    compose,
     edge_evaluator,
     kp_compose,
     kp_identity,
@@ -86,6 +88,7 @@ from .verifiers import (
     path_verifier,
     snarkize,
     step_verifier,
+    verifier_identity,
 )
 
 __version__ = "0.1.0"

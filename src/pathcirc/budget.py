@@ -54,3 +54,11 @@ def current(env=os.environ) -> Budget:
     except (KeyError, ValueError) as exc:
         raise BudgetError(f"malformed PATHCIRC_BUDGET {raw!r}: {exc}") from exc
     return budget
+
+
+def check_gates(count: int, what: str) -> None:
+    """Refuse `what`, a circuit of `count` gates, if it exceeds the gate budget."""
+    limit = current().gate_count
+    if count > limit:
+        raise BudgetError(f"{what} has {count} gates, over the gate budget {limit} "
+                          f"(raise it with PATHCIRC_BUDGET=gates=N)")

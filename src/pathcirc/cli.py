@@ -12,20 +12,12 @@ import argparse
 import sys
 from pathlib import Path as FsPath
 
-from . import budget
 from .circuits import BitVector, ext_equal
-from .errors import BudgetError, ParseError, PathcircError
+from .errors import ParseError, PathcircError
 from .formats import document_from_json, to_bristol, to_json
-from .graphs import EdgeStep, Graph, IdStep, Path, enumerate_graph, parse_graph, path_oracle
-from .universal import (
-    ZkpMorphism,
-    encode_graph,
-    encoding_width,
-    universal_step,
-    universal_verifier,
-    zkp_snarkize,
-)
-from .verifiers import KpMorphism, path_verifier, snarkize, step_verifier
+from .graphs import EdgeStep, Graph, IdStep, enumerate_graph, parse_graph, path_oracle
+from .universal import encode_graph, universal_verifier
+from .verifiers import Verifier, path_verifier, snarkize
 
 
 def _load_graph(path: str) -> Graph:
@@ -47,12 +39,6 @@ def _emit(circuit, metadata, fmt: str, out: str | None) -> None:
         _write(to_json(circuit, metadata), out)
 
 
-def _check_gate_budget(estimate: int) -> None:
-    limit = budget.current().gate_count
-    if estimate > limit:
-        raise BudgetError(f"estimated {estimate} gates exceed the gate budget {limit}")
-
-
 def _enumeration_metadata(g: Graph, en) -> dict:
     return {
         "v_bits": en.v_bits,
@@ -66,10 +52,7 @@ def _enumeration_metadata(g: Graph, en) -> dict:
 def _cmd_compile(args) -> int:
     g = _load_graph(args.graph)
     en = enumerate_graph(g)
-    step = step_verifier(g, en)
-    _check_gate_budget(step.circuit.gate_count * max(1, args.length) + 3 * args.length)
     pv = path_verifier(g, en, args.length)
-    _check_gate_budget(pv.circuit.gate_count)
     metadata = {
         "kind": "kp",
         "k": args.length,
@@ -84,11 +67,7 @@ def _cmd_compile(args) -> int:
 
 def _cmd_compile_universal(args) -> int:
     m, n, k = args.max_edges, args.max_vertices, args.length
-    if k > 0:
-        step = universal_step(m, n)
-        _check_gate_budget(step.circuit.gate_count * k + encoding_width(m, n) * k + 3 * k)
     uv = universal_verifier(m, n, k)
-    _check_gate_budget(uv.circuit.gate_count)
     metadata = {
         "kind": "zkp",
         "k": k,
@@ -103,23 +82,34 @@ def _cmd_compile_universal(args) -> int:
     return 0
 
 
+def _wire_partition(meta: dict, kind: str) -> dict[str, int]:
+    """The verifier widths a compiled document's metadata declares.
+
+    Each is a JSON integer (not a bool, float or string), at least 0,
+    and ``out_width`` at least 1. A ``kp`` verifier has no spec bus.
+    """
+    names = ["in_width", "witness_width", "out_width"]
+    if kind == "zkp":
+        names.append("spec_width")
+    widths = {"spec_width": 0}
+    for name in names:
+        if name not in meta:
+            raise ParseError(f"circuit metadata lacks the wire partition field {name!r}")
+        value, least = meta[name], 1 if name == "out_width" else 0
+        if type(value) is not int or value < least:
+            raise ParseError(f"circuit metadata field {name!r} must be an integer "
+                             f">= {least}, got {value!r}")
+        widths[name] = value
+    return widths
+
+
 def _cmd_snarkize(args) -> int:
     doc = document_from_json(FsPath(args.circuit).read_text(encoding="utf-8"))
     meta = dict(doc.metadata or {})
-    try:
-        if args.kind == "kp":
-            morphism = KpMorphism(meta["in_width"], meta["witness_width"],
-                                  meta["out_width"], doc.circuit)
-            wrapped = snarkize(morphism)
-        else:
-            morphism = ZkpMorphism(meta["in_width"], meta["spec_width"],
-                                   meta["witness_width"], meta["out_width"], doc.circuit)
-            wrapped = zkp_snarkize(morphism)
-    except KeyError as exc:
-        raise ParseError(f"circuit metadata lacks the wire partition field {exc}") from exc
+    verifier = Verifier(circuit=doc.circuit, **_wire_partition(meta, args.kind))
     meta["kind"] = f"snark-{args.kind}"
-    meta["claim_width"] = morphism.out_width
-    _emit(wrapped, meta, args.format, args.out)
+    meta["claim_width"] = verifier.out_width
+    _emit(snarkize(verifier), meta, args.format, args.out)
     return 0
 
 
@@ -189,6 +179,17 @@ def _cmd_equiv(args) -> int:
     return 0 if equal else 1
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than `least`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    parse.__name__ = "int"  # named in argparse's "invalid int value" message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathcirc",
@@ -203,15 +204,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile a fixed-graph path verifier")
     p.add_argument("--graph", required=True, help="graph JSON file")
-    p.add_argument("--length", type=int, required=True, help="number of steps verified")
+    p.add_argument("--length", type=_at_least(0), required=True,
+                   help="number of steps verified")
     add_output_flags(p)
     p.set_defaults(run=_cmd_compile)
 
     p = sub.add_parser("compile-universal",
                        help="compile a verifier taking the graph encoding as input")
-    p.add_argument("--max-vertices", type=int, required=True)
-    p.add_argument("--max-edges", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--max-vertices", type=_at_least(1), required=True)
+    p.add_argument("--max-edges", type=_at_least(0), required=True)
+    p.add_argument("--length", type=_at_least(0), required=True)
     add_output_flags(p)
     p.set_defaults(run=_cmd_compile_universal)
 
@@ -236,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode-graph", help="print a graph's encoding at capacity")
     p.add_argument("--graph", required=True)
-    p.add_argument("--max-vertices", type=int, required=True)
-    p.add_argument("--max-edges", type=int, required=True)
+    p.add_argument("--max-vertices", type=_at_least(1), required=True)
+    p.add_argument("--max-edges", type=_at_least(0), required=True)
     p.set_defaults(run=_cmd_encode_graph)
 
     p = sub.add_parser("equiv", help="exhaustive extensional equivalence of two circuits")

@@ -7,7 +7,10 @@ fixed-width bitstring, and universal source/target lookups dispatch on
 that bitstring with one single-point filter per encodable graph,
 AND-gating each graph's table circuit and OR-ing the results. A spec
 input matching no encodable graph therefore yields the all-zero
-"undefined" code, which the MATCH stage rejects.
+"undefined" code, which the MATCH stage rejects. The verifiers built
+here are the :class:`~pathcirc.verifiers.Verifier` shape with the
+encoding on the spec bus; a fixed-graph verifier is the same shape
+with an empty one.
 
 The construction is exponential in the capacity by design; a budget
 guard refuses capacities whose graph family is too large.
@@ -18,18 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import budget
-from .circuits import (
-    BitVector,
-    Circuit,
-    CircuitBuilder,
-    and_gate,
-    bus_copy,
-    identity,
-    seq,
-    symmetry,
-    tensor,
-)
-from .errors import BudgetError, CapacityError, ValidationError, WidthError
+from .circuits import BitVector, Circuit, CircuitBuilder
+from .errors import BudgetError, CapacityError, ValidationError
 from .graphs import (
     Enumeration,
     Graph,
@@ -40,7 +33,8 @@ from .graphs import (
     target_table,
     vertex_width,
 )
-from .synth import assigned_vertex_circuit, filter_circuit, match_circuit, synth
+from .synth import assigned_vertex_circuit, filter_circuit, synth
+from .verifiers import Verifier, assemble_step, compose, fold, snarkize, verifier_identity
 
 
 def encoding_width(m: int, n: int) -> int:
@@ -96,13 +90,20 @@ def valid_graphs(m: int, n: int, max_count: int | None = None) -> list[Graph]:
     Ranges over 1..n vertices and 0..m edges. The empty graph is left
     out: its encoding is the all-zero string, and the all-zero table it
     would contribute is already what the OR-aggregation produces when
-    no filter fires.
+    no filter fires. A capacity below one vertex or zero edges is
+    refused.
     """
+    if n < 1 or m < 0:
+        raise CapacityError(f"capacity needs at least 1 vertex and 0 edges, got ({m}, {n})")
     if max_count is None:
         max_count = budget.current().graph_count
-    total = sum(v ** (2 * e) for v in range(1, n + 1) for e in range(m + 1))
-    if total > max_count:
-        raise BudgetError(f"{total} capacity graphs exceed the budget {max_count}")
+    total = 0
+    for v in range(1, n + 1):
+        for e in range(m + 1):
+            total += v ** (2 * e)
+            if total > max_count:  # stop early: large capacities have totals too big to print
+                raise BudgetError(f"capacity ({m}, {n}) has more than {max_count} graphs, over "
+                                  f"the graph budget (raise it with PATHCIRC_BUDGET=graphs=N)")
     out = []
     for v in range(1, n + 1):
         for e in range(m + 1):
@@ -118,8 +119,6 @@ def _universal_lookup(m: int, n: int, table_of, max_count: int | None) -> Circui
     b = CircuitBuilder(f_bits + e_bits)
     spec_bus = list(range(f_bits))
     edge_bus = list(range(f_bits, f_bits + e_bits))
-    if not graphs:
-        return b.finish([b.false() for _ in range(v_bits)])
     spec_copies = b.fanout_bus(spec_bus, len(graphs))
     edge_copies = b.fanout_bus(edge_bus, len(graphs))
     per_bit: list[list[int]] = [[] for _ in range(v_bits)]
@@ -146,96 +145,18 @@ def universal_target(m: int, n: int, max_count: int | None = None) -> Circuit:
     return _universal_lookup(m, n, target_table, max_count)
 
 
-@dataclass(frozen=True)
-class ZkpMorphism:
-    """A verifier whose inputs split (state-in ++ graph spec ++ witness)
-    and whose outputs are a flag followed by the state out.
-
-    Unlike plain verifier composition, composing these shares the one
-    graph-spec bus between both halves.
-    """
-
-    in_width: int
-    spec_width: int
-    witness_width: int
-    out_width: int
-    circuit: Circuit
-
-    def __post_init__(self):
-        expected = self.in_width + self.spec_width + self.witness_width
-        if self.circuit.n_inputs != expected:
-            raise ValidationError("circuit inputs do not match state+spec+witness")
-        if self.circuit.n_outputs != 1 + self.out_width:
-            raise ValidationError("circuit outputs do not match flag+state widths")
-
-    def run(
-        self,
-        state: BitVector,
-        spec: BitVector,
-        witness: BitVector | None = None,
-    ) -> tuple[int, BitVector]:
-        """Evaluate, returning (flag, state out)."""
-        if witness is None:
-            witness = BitVector(())
-        out = self.circuit.evaluate(state + spec + witness)
-        return out.bits[0], BitVector(out.bits[1:])
-
-
-def zkp_identity(width: int, spec_width: int) -> ZkpMorphism:
-    """Always-accepting verifier: the spec bus is consumed and ignored."""
-    b = CircuitBuilder(width + spec_width)
-    flag = b.true()
-    return ZkpMorphism(width, spec_width, 0, width,
-                       b.finish([flag] + list(range(width))))
-
-
-def zkp_compose(f: ZkpMorphism, g: ZkpMorphism) -> ZkpMorphism:
-    """Chain two spec-sharing verifiers.
-
-    The spec bus is duplicated with COPY and routed past f's witness
-    with a symmetry so both halves see the identical spec; state
-    chains, witnesses concatenate, flags are ANDed.
-    """
-    if f.out_width != g.in_width:
-        raise WidthError(
-            f"cannot chain verifiers: {f.out_width} state out vs {g.in_width} in"
-        )
-    if f.spec_width != g.spec_width:
-        raise WidthError(
-            f"spec widths differ: {f.spec_width} vs {g.spec_width}"
-        )
-    k, n0, n1 = f.spec_width, f.witness_width, g.witness_width
-    c = tensor(identity(f.in_width),
-               tensor(bus_copy(k), identity(n0 + n1)))
-    c = seq(c, tensor(identity(f.in_width + k),
-                      tensor(symmetry(k, n0), identity(n1))))
-    c = seq(c, tensor(f.circuit, identity(k + n1)))
-    c = seq(c, tensor(identity(1), g.circuit))
-    c = seq(c, tensor(and_gate(), identity(g.out_width)))
-    return ZkpMorphism(f.in_width, k, n0 + n1, g.out_width, c)
-
-
-def universal_step(m: int, n: int, max_count: int | None = None) -> ZkpMorphism:
+def universal_step(m: int, n: int, max_count: int | None = None) -> Verifier:
     """One-step walk checker over the graph spec bus.
 
     State in: a vertex code at capacity width. Spec: a graph encoding.
     Witness: an edge code. Flag is MATCH(vertex, source); state out is
     the target, both read through the universal lookups.
     """
-    v_bits = vertex_width(n)
-    e_bits = edge_width(m, n)
-    f_bits = encoding_width(m, n)
-    c = tensor(identity(v_bits), tensor(bus_copy(f_bits), bus_copy(e_bits)))
-    c = seq(c, tensor(identity(v_bits + f_bits),
-                      tensor(symmetry(f_bits, e_bits), identity(e_bits))))
-    c = seq(c, tensor(identity(v_bits),
-                      tensor(universal_source(m, n, max_count),
-                             universal_target(m, n, max_count))))
-    c = seq(c, tensor(match_circuit(v_bits), identity(v_bits)))
-    return ZkpMorphism(v_bits, f_bits, e_bits, v_bits, c)
+    return assemble_step(vertex_width(n), encoding_width(m, n), edge_width(m, n),
+                         universal_source(m, n, max_count), universal_target(m, n, max_count))
 
 
-def _universal_empty_walk(m: int, n: int, max_count: int | None) -> ZkpMorphism:
+def _universal_empty_walk(m: int, n: int, max_count: int | None) -> Verifier:
     v_bits = vertex_width(n)
     f_bits = encoding_width(m, n)
     graphs = valid_graphs(m, n, max_count=max_count)
@@ -243,18 +164,19 @@ def _universal_empty_walk(m: int, n: int, max_count: int | None) -> ZkpMorphism:
     v_bus = list(range(v_bits))
     spec_bus = list(range(v_bits, v_bits + f_bits))
     v_copies = b.fanout_bus(v_bus, len(graphs) + 1)
-    spec_copies = b.fanout_bus(spec_bus, len(graphs)) if graphs else []
+    spec_copies = b.fanout_bus(spec_bus, len(graphs))
     terms = []
     for i, g in enumerate(graphs):
         en = capacity_enumeration(g, m, n)
         (fired,) = b.splice(filter_circuit(encode_graph(g, m, n).bits), spec_copies[i])
         (assigned,) = b.splice(assigned_vertex_circuit(en), v_copies[i])
         terms.append(b.and_(fired, assigned))
-    flag = b.or_chain(terms) if terms else b.false()
-    return ZkpMorphism(v_bits, f_bits, 0, v_bits, b.finish([flag] + v_copies[-1]))
+    flag = b.or_chain(terms)
+    budget.check_gates(len(b.gates), "the empty-walk check")
+    return Verifier(v_bits, f_bits, 0, v_bits, b.finish([flag] + v_copies[-1]))
 
 
-def universal_verifier(m: int, n: int, k: int, max_count: int | None = None) -> ZkpMorphism:
+def universal_verifier(m: int, n: int, k: int, max_count: int | None = None) -> Verifier:
     """k-fold composition of the universal step checker.
 
     Verifies any walk of up to k steps (shorter ones via identity
@@ -262,22 +184,17 @@ def universal_verifier(m: int, n: int, k: int, max_count: int | None = None) -> 
     graph being chosen by the spec input alone. k = 0 is the empty-walk
     check: accept iff the state input is an assigned vertex of the
     encoded graph, passing the state through (the spec-ignoring
-    categorical identity is :func:`zkp_identity`).
+    categorical identity is :func:`verifier_identity`). Verifiers over
+    the gate budget are refused.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     if k == 0:
         return _universal_empty_walk(m, n, max_count)
-    step = universal_step(m, n, max_count=max_count)
-    out = step
-    for _ in range(k - 1):
-        out = zkp_compose(out, step)
-    return out
+    return fold(universal_step(m, n, max_count=max_count), k)
 
 
-def zkp_snarkize(f: ZkpMorphism) -> Circuit:
-    """Single-output wrapper over (state-in ++ spec ++ witness ++ claimed
-    state-out): 1 iff the verifier accepts and the claim MATCHes."""
-    c = tensor(f.circuit, identity(f.out_width))
-    c = seq(c, tensor(identity(1), match_circuit(f.out_width)))
-    return seq(c, and_gate())
+ZkpMorphism = Verifier
+zkp_identity = verifier_identity
+zkp_compose = compose
+zkp_snarkize = snarkize

@@ -1,13 +1,16 @@
 """Flag-and-witness verifier circuits and their composition.
 
-A verifier morphism is a circuit whose inputs split into a state bus
-and a witness bus, and whose outputs are a single acceptance flag
-followed by a state bus. Composing two verifiers chains the state
-buses, concatenates the witness buses and ANDs the flags, so a k-fold
-composite of the one-step checker accepts exactly the k-step walks of
-a graph. The snarkizator then folds the state output into the inputs
-(as a claimed result) leaving a single output bit, the shape SNARK
-toolchains consume.
+A verifier morphism is a circuit whose inputs split into a state bus, a
+graph-spec bus and a witness bus, and whose outputs are a single
+acceptance flag followed by a state bus. A fixed-graph verifier has its
+graph baked into the gates and an empty spec bus; the universal ones
+(:mod:`pathcirc.universal`) read the graph's encoding from it. Composing
+two verifiers shares the one spec bus between both halves, chains the
+state buses, concatenates the witness buses and ANDs the flags, so a
+k-fold composite of the one-step checker accepts exactly the k-step
+walks of a graph. The snarkizator then folds the state output into the
+inputs (as a claimed result) leaving a single output bit, the shape
+SNARK toolchains consume.
 
 Composition is left-associated everywhere; all associations compute
 the same function, and equality of verifiers is always extensional,
@@ -18,18 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import budget
 from .circuits import (
     BitVector,
     Circuit,
     CircuitBuilder,
     and_gate,
-    bus_copy,
     constant,
     identity,
-    primitive,
     seq,
     tensor,
-    TRUE,
 )
 from .errors import LengthError, ValidationError, WidthError
 from .graphs import Enumeration, Graph, IdStep, Path, Step
@@ -37,63 +38,107 @@ from .synth import assigned_vertex_circuit, match_circuit, source_circuit, targe
 
 
 @dataclass(frozen=True)
-class KpMorphism:
-    """A circuit with the (state-in ++ witness) -> (flag ++ state-out) wire split."""
+class Verifier:
+    """A circuit with the (state-in ++ spec ++ witness) -> (flag ++ state-out)
+    wire split. Fixed-graph verifiers have ``spec_width == 0``."""
 
     in_width: int
+    spec_width: int
     witness_width: int
     out_width: int
     circuit: Circuit
 
     def __post_init__(self):
-        if self.circuit.n_inputs != self.in_width + self.witness_width:
-            raise ValidationError("circuit inputs do not match state+witness widths")
+        expected = self.in_width + self.spec_width + self.witness_width
+        if self.circuit.n_inputs != expected:
+            raise ValidationError("circuit inputs do not match state+spec+witness widths")
         if self.circuit.n_outputs != 1 + self.out_width:
             raise ValidationError("circuit outputs do not match flag+state widths")
 
-    def run(self, state: BitVector, witness: BitVector | None = None) -> tuple[int, BitVector]:
-        """Evaluate, returning (flag, state out)."""
-        if witness is None:
-            witness = BitVector(())
-        out = self.circuit.evaluate(state + witness)
+    def run(self, state: BitVector, *buses: BitVector) -> tuple[int, BitVector]:
+        """Evaluate on state ++ buses (the spec, then the witness; an
+        empty bus may be left out), returning (flag, state out)."""
+        bits = state.bits + tuple(b for bus in buses for b in bus.bits)
+        out = self.circuit.evaluate(BitVector(bits))
         return out.bits[0], BitVector(out.bits[1:])
 
 
-def kp_identity(width: int) -> KpMorphism:
-    """The do-nothing verifier: constant-true flag, state passed through."""
-    return KpMorphism(width, 0, width, tensor(primitive(TRUE), identity(width)))
+def KpMorphism(in_width: int, witness_width: int, out_width: int, circuit: Circuit) -> Verifier:
+    """A fixed-graph verifier: one with an empty spec bus."""
+    return Verifier(in_width, 0, witness_width, out_width, circuit)
 
 
-def kp_compose(f: KpMorphism, g: KpMorphism) -> KpMorphism:
+def verifier_identity(width: int, spec_width: int = 0) -> Verifier:
+    """The do-nothing verifier: constant-true flag, state passed through,
+    the spec bus consumed and ignored."""
+    b = CircuitBuilder(width + spec_width)
+    flag = b.true()
+    return Verifier(width, spec_width, 0, width, b.finish([flag] + list(range(width))))
+
+
+def compose(f: Verifier, g: Verifier) -> Verifier:
     """Chain two verifiers: state flows f then g, flags are ANDed.
 
-    The witness of the composite is f's witness block followed by g's.
+    Both halves read the one spec bus, duplicated with COPY. The witness
+    of the composite is f's witness block followed by g's.
     """
     if f.out_width != g.in_width:
         raise WidthError(
             f"cannot chain verifiers: {f.out_width} state out vs {g.in_width} in"
         )
-    c = seq(tensor(f.circuit, identity(g.witness_width)),
-            tensor(identity(1), g.circuit))
-    c = seq(c, tensor(and_gate(), identity(g.out_width)))
-    return KpMorphism(f.in_width, f.witness_width + g.witness_width, g.out_width, c)
+    if f.spec_width != g.spec_width:
+        raise WidthError(f"spec widths differ: {f.spec_width} vs {g.spec_width}")
+    n, k = f.in_width, f.spec_width
+    b = CircuitBuilder(n + k + f.witness_width + g.witness_width)
+    wires = b.inputs()
+    spec_f, spec_g = b.fanout_bus(wires[n:n + k], 2)
+    witness = wires[n + k:]
+    out_f = b.splice(f.circuit, wires[:n] + spec_f + witness[:f.witness_width])
+    out_g = b.splice(g.circuit, out_f[1:] + spec_g + witness[f.witness_width:])
+    flag = b.and_(out_f[0], out_g[0])
+    return Verifier(n, k, len(witness), g.out_width, b.finish([flag] + out_g[1:]))
 
 
-def step_verifier(g: Graph, en: Enumeration) -> KpMorphism:
-    """One-step walk checker.
+def assemble_step(v_bits: int, spec_bits: int, e_bits: int,
+                  source: Circuit, target: Circuit) -> Verifier:
+    """One-step walk checker around a source and a target lookup, each
+    reading (spec ++ edge code).
 
     State in: a vertex code. Witness: an edge code. The flag is
     MATCH(vertex, source(edge)); the state out is target(edge),
     emitted whether or not the flag holds.
     """
-    core = tensor(identity(en.v_bits), bus_copy(en.e_bits))
-    core = seq(core, tensor(identity(en.v_bits),
-                            tensor(source_circuit(g, en), target_circuit(g, en))))
-    core = seq(core, tensor(match_circuit(en.v_bits), identity(en.v_bits)))
-    return KpMorphism(en.v_bits, en.e_bits, en.v_bits, core)
+    b = CircuitBuilder(v_bits + spec_bits + e_bits)
+    wires = b.inputs()
+    spec_s, spec_t = b.fanout_bus(wires[v_bits:v_bits + spec_bits], 2)
+    edge_s, edge_t = b.fanout_bus(wires[v_bits + spec_bits:], 2)
+    src = b.splice(source, spec_s + edge_s)
+    tgt = b.splice(target, spec_t + edge_t)
+    (flag,) = b.splice(match_circuit(v_bits), wires[:v_bits] + src)
+    return Verifier(v_bits, spec_bits, e_bits, v_bits, b.finish([flag] + tgt))
 
 
-def edge_evaluator(g: Graph, en: Enumeration, step: Step) -> KpMorphism:
+def fold(step: Verifier, k: int) -> Verifier:
+    """The left-associated k-fold composite of a step checker, k >= 1.
+
+    Each composition adds the spec fan-out and one AND (3 gates) to the
+    two halves, so the gate count is known exactly in advance, and a
+    fold over the gate budget is refused before any composing.
+    """
+    gates = k * step.circuit.gate_count + (k - 1) * (3 + step.spec_width)
+    budget.check_gates(gates, f"a {k}-step verifier")
+    out = step
+    for _ in range(k - 1):
+        out = compose(out, step)
+    return out
+
+
+def step_verifier(g: Graph, en: Enumeration) -> Verifier:
+    """One-step walk checker of a fixed graph (see :func:`assemble_step`)."""
+    return assemble_step(en.v_bits, 0, en.e_bits, source_circuit(g, en), target_circuit(g, en))
+
+
+def edge_evaluator(g: Graph, en: Enumeration, step: Step) -> Verifier:
     """Fixed-step checker: the step's code is baked in as constant gates.
 
     Witness-free; on a vertex code v it accepts iff v is the step's
@@ -106,10 +151,10 @@ def edge_evaluator(g: Graph, en: Enumeration, step: Step) -> KpMorphism:
         raise LookupError(f"graph has no edge {step.edge}")
     inject = tensor(identity(en.v_bits), constant(en.step_code(step)))
     verifier = step_verifier(g, en)
-    return KpMorphism(en.v_bits, 0, en.v_bits, seq(inject, verifier.circuit))
+    return Verifier(en.v_bits, 0, 0, en.v_bits, seq(inject, verifier.circuit))
 
 
-def path_verifier(g: Graph, en: Enumeration, k: int) -> KpMorphism:
+def path_verifier(g: Graph, en: Enumeration, k: int) -> Verifier:
     """k-fold composition of the one-step checker.
 
     Accepts a vertex code plus k witness edge codes, and flags 1 iff
@@ -117,21 +162,19 @@ def path_verifier(g: Graph, en: Enumeration, k: int) -> KpMorphism:
     check: accept iff the state input is an assigned vertex code, and
     pass it through, so the flag agrees with the oracle on every input
     (the categorical identity, which accepts anything, is
-    :func:`kp_identity`). Shorter paths are handled by padding the
-    witness with identity codes (see :func:`pad_path`).
+    :func:`verifier_identity`). Shorter paths are handled by padding the
+    witness with identity codes (see :func:`pad_path`). Verifiers over
+    the gate budget are refused.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k == 0:
-        b = CircuitBuilder(en.v_bits)
-        through, checked = b.fanout_bus(b.inputs(), 2)
-        (flag,) = b.splice(assigned_vertex_circuit(en), checked)
-        return KpMorphism(en.v_bits, 0, en.v_bits, b.finish([flag] + through))
-    step = step_verifier(g, en)
-    out = step
-    for _ in range(k - 1):
-        out = kp_compose(out, step)
-    return out
+    if k > 0:
+        return fold(step_verifier(g, en), k)
+    b = CircuitBuilder(en.v_bits)
+    through, checked = b.fanout_bus(b.inputs(), 2)
+    (flag,) = b.splice(assigned_vertex_circuit(en), checked)
+    budget.check_gates(len(b.gates), "the empty-walk check")
+    return Verifier(en.v_bits, 0, 0, en.v_bits, b.finish([flag] + through))
 
 
 def pad_path(en: Enumeration, p: Path, k: int) -> list[BitVector]:
@@ -151,14 +194,18 @@ def pad_path(en: Enumeration, p: Path, k: int) -> list[BitVector]:
     return codes
 
 
-def snarkize(f: KpMorphism) -> Circuit:
+def snarkize(f: Verifier) -> Circuit:
     """Wrap a verifier into a single-output circuit.
 
-    Inputs are (state-in ++ witness ++ claimed state-out); the output
-    is 1 iff the verifier accepts and its actual state output MATCHes
-    the claim. MATCH rejects the all-zero code, so claiming "undefined"
-    never succeeds.
+    Inputs are (state-in ++ spec ++ witness ++ claimed state-out); the
+    output is 1 iff the verifier accepts and its actual state output
+    MATCHes the claim. MATCH rejects the all-zero code, so claiming
+    "undefined" never succeeds.
     """
     c = tensor(f.circuit, identity(f.out_width))
     c = seq(c, tensor(identity(1), match_circuit(f.out_width)))
     return seq(c, and_gate())
+
+
+kp_identity = verifier_identity
+kp_compose = compose

@@ -215,3 +215,109 @@ class TestEquiv:
         b.write_text(to_json(identity(6)), encoding="utf-8")
         assert main(["equiv", "--a", str(a), "--b", str(b), "--max-width", "4"]) == 1
         assert "BudgetError" in capsys.readouterr().err
+
+
+def compiled(tmp_path, argv) -> dict:
+    out = tmp_path / "compiled.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+class TestNumbersAtTheBoundary:
+    @pytest.mark.parametrize("argv", [
+        ["compile", "--length", "-1"],
+        ["compile-universal", "--max-vertices", "1", "--max-edges", "1", "--length", "-2"],
+        ["compile-universal", "--max-vertices", "0", "--max-edges", "1", "--length", "1"],
+        ["compile-universal", "--max-vertices", "1", "--max-edges", "-1", "--length", "1"],
+        ["encode-graph", "--max-vertices", "0", "--max-edges", "1"],
+        ["compile", "--length", "two"],
+    ])
+    def test_bad_numbers_exit_2(self, ab_graph, argv, capsys):
+        if argv[0] != "compile-universal":
+            argv = argv[:1] + ["--graph", ab_graph] + argv[1:]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("pathcirc ")
+
+    def test_huge_capacity_is_refused_in_one_line(self, capsys):
+        assert main(["compile-universal", "--max-vertices", "1000", "--max-edges", "1000",
+                     "--length", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "BudgetError" in err and "PATHCIRC_BUDGET=graphs=" in err
+
+    def test_zero_edges_is_a_capacity(self, capsys):
+        assert main(["compile-universal", "--max-vertices", "1", "--max-edges", "0",
+                     "--length", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["max_edges"] == 0
+
+
+class TestSnarkizeMetadata:
+    @pytest.mark.parametrize("field, value", [
+        ("in_width", "2"),
+        ("in_width", True),
+        ("in_width", -1),
+        ("witness_width", 2.0),
+        ("witness_width", None),
+        ("out_width", 0),
+        ("out_width", [2]),
+    ])
+    def test_bad_width_is_a_parse_error(self, ab_graph, tmp_path, capsys, field, value):
+        doc = compiled(tmp_path, ["compile", "--graph", ab_graph, "--length", "1"])
+        doc["metadata"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["snarkize", "--circuit", str(bad), "--kind", "kp"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "ParseError" in err and field in err
+
+    def test_bad_spec_width_is_a_parse_error(self, tmp_path, capsys):
+        doc = compiled(tmp_path, ["compile-universal", "--max-vertices", "1",
+                                  "--max-edges", "1", "--length", "1"])
+        doc["metadata"]["spec_width"] = "4"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["snarkize", "--circuit", str(bad), "--kind", "zkp"]) == 1
+        assert "ParseError" in capsys.readouterr().err
+
+    def test_kp_on_a_universal_verifier(self, tmp_path, capsys):
+        out = tmp_path / "uv.json"
+        assert main(["compile-universal", "--max-vertices", "1", "--max-edges", "1",
+                     "--length", "1", "--out", str(out)]) == 0
+        assert main(["snarkize", "--circuit", str(out), "--kind", "kp"]) == 1
+        assert "ValidationError" in capsys.readouterr().err
+
+    def test_zkp_on_a_fixed_graph_verifier(self, ab_graph, tmp_path, capsys):
+        out = tmp_path / "pv.json"
+        assert main(["compile", "--graph", ab_graph, "--length", "1", "--out", str(out)]) == 0
+        assert main(["snarkize", "--circuit", str(out), "--kind", "zkp"]) == 1
+        err = capsys.readouterr().err
+        assert "ParseError" in err and "spec_width" in err
+
+
+class TestLibraryGateBudget:
+    def test_message_names_the_key(self, ab_graph, capsys, monkeypatch):
+        monkeypatch.setenv("PATHCIRC_BUDGET", "gates=100")
+        assert main(["compile", "--graph", ab_graph, "--length", "2"]) == 1
+        assert "PATHCIRC_BUDGET=gates=" in capsys.readouterr().err
+
+    def test_compile_universal(self, capsys, monkeypatch):
+        monkeypatch.setenv("PATHCIRC_BUDGET", "gates=100")
+        assert main(["compile-universal", "--max-vertices", "1", "--max-edges", "1",
+                     "--length", "2"]) == 1
+        assert "BudgetError" in capsys.readouterr().err
+
+    def test_verify_path(self, abc_graph, capsys, monkeypatch):
+        monkeypatch.setenv("PATHCIRC_BUDGET", "gates=100")
+        assert main(["verify-path", "--graph", abc_graph, "--start", "a",
+                     "--path", "e1,e2"]) == 1
+        assert "BudgetError" in capsys.readouterr().err
+
+    def test_empty_walk_needs_no_step(self, ab_graph, monkeypatch):
+        # the 1-step verifier of ab has 85 gates, the empty-walk check 19
+        monkeypatch.setenv("PATHCIRC_BUDGET", "gates=19")
+        assert main(["compile", "--graph", ab_graph, "--length", "0"]) == 0
