@@ -30,6 +30,8 @@ class Budget:
                 raise BudgetError(f"budget {name} must be non-negative, got {value}")
 
 
+_DEFAULT = Budget()
+
 _ENV_KEYS = {
     "gates": "gate_count",
     "eval-width": "eval_width",
@@ -42,8 +44,8 @@ def current(env=os.environ) -> Budget:
     """Return the active budget, honouring PATHCIRC_BUDGET if set."""
     raw = env.get("PATHCIRC_BUDGET")
     if raw is None or not raw.strip():
-        return Budget()
-    budget = Budget()
+        return _DEFAULT
+    budget = _DEFAULT
     try:
         if "=" not in raw:
             return replace(budget, gate_count=int(raw))

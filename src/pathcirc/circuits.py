@@ -3,10 +3,15 @@
 A circuit is an immutable DAG. Wires ``0..n_inputs-1`` are the circuit
 inputs; every gate appends its output wires in declaration order, so
 wire ids are dense and the gate list is topologically sorted by
-construction. Sequential composition (:func:`seq`), juxtaposition
-(:func:`tensor`) and wire permutations (:func:`symmetry`) renumber
-wires into the same dense layout. Identities and symmetries emit no
-gates at all -- they are pure rewiring through ``output_map``.
+construction. :meth:`CircuitBuilder.splice` is the one place that
+renumbers wires: sequential composition (:func:`seq`) and juxtaposition
+(:func:`tensor`) are splices into a fresh builder. Identities and
+symmetries (:func:`symmetry`) emit no gates at all -- they are pure
+rewiring through ``output_map``.
+
+There is one interpreter, the bit-sliced engine behind
+:func:`truth_columns`; :meth:`Circuit.evaluate` is that engine with
+every input pinned.
 
 All values here are immutable and every operation is pure, so circuits
 and bit vectors can be shared freely between threads.
@@ -27,6 +32,8 @@ FALSE = "FALSE"
 
 #: (input arity, output arity) of each primitive gate kind.
 GATE_ARITY = {NAND: (2, 1), COPY: (1, 2), TRUE: (0, 1), FALSE: (0, 1)}
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -66,11 +73,8 @@ class BitVector:
 
     @property
     def value(self) -> int:
-        """Integer value, MSB first."""
-        v = 0
-        for b in self.bits:
-            v = (v << 1) | b
-        return v
+        """Integer value, MSB first; linear in the width."""
+        return int(bytes(self.bits).translate(_DIGITS), 2) if self.bits else 0
 
     def is_zero(self) -> bool:
         return all(b == 0 for b in self.bits)
@@ -156,26 +160,13 @@ class Circuit:
         return len(self.gates)
 
     def evaluate(self, inputs: BitVector) -> BitVector:
-        """Run the circuit on one input vector (single topological pass)."""
+        """Run the circuit on one input vector: :func:`truth_columns`
+        with every input pinned."""
         if inputs.width != self.n_inputs:
             raise WidthError(
                 f"circuit expects {self.n_inputs} input bits, got {inputs.width}"
             )
-        vals = list(inputs.bits) + [0] * (self.wire_count - self.n_inputs)
-        for g in self.gates:
-            if g.kind == NAND:
-                a, b = g.in_wires
-                vals[g.out_wires[0]] = 1 - (vals[a] & vals[b])
-            elif g.kind == COPY:
-                v = vals[g.in_wires[0]]
-                o1, o2 = g.out_wires
-                vals[o1] = v
-                vals[o2] = v
-            elif g.kind == TRUE:
-                vals[g.out_wires[0]] = 1
-            else:  # FALSE
-                vals[g.out_wires[0]] = 0
-        return BitVector(tuple(vals[w] for w in self.output_map))
+        return BitVector(tuple(truth_columns(self, dict(enumerate(inputs.bits)))))
 
 
 def _mk(n_inputs: int, gates: Iterable[GateInstance], output_map: Iterable[int]) -> Circuit:
@@ -206,35 +197,15 @@ def seq(c1: Circuit, c2: Circuit) -> Circuit:
         raise WidthError(
             f"cannot compose: {c1.n_outputs} outputs vs {c2.n_inputs} inputs"
         )
-    base = c1.wire_count
-
-    def remap(w: int) -> int:
-        return c1.output_map[w] if w < c2.n_inputs else base + (w - c2.n_inputs)
-
-    gates = list(c1.gates)
-    for g in c2.gates:
-        gates.append(GateInstance(g.kind, tuple(remap(w) for w in g.in_wires),
-                                  tuple(remap(w) for w in g.out_wires)))
-    return _mk(c1.n_inputs, gates, (remap(w) for w in c2.output_map))
+    b = CircuitBuilder(c1.n_inputs)
+    return b.finish(b.splice(c2, b.splice(c1, b.inputs())))
 
 
 def tensor(c1: Circuit, c2: Circuit) -> Circuit:
     """Parallel juxtaposition: c1 on the first wires, c2 on the rest."""
-    n1, n2 = c1.n_inputs, c2.n_inputs
-    g1_outs = c1.wire_count - n1
-
-    def m1(w: int) -> int:
-        return w if w < n1 else w + n2
-
-    def m2(w: int) -> int:
-        return n1 + w if w < n2 else (n1 + n2 + g1_outs) + (w - n2)
-
-    gates = [GateInstance(g.kind, tuple(m1(w) for w in g.in_wires),
-                          tuple(m1(w) for w in g.out_wires)) for g in c1.gates]
-    gates += [GateInstance(g.kind, tuple(m2(w) for w in g.in_wires),
-                           tuple(m2(w) for w in g.out_wires)) for g in c2.gates]
-    outs = [m1(w) for w in c1.output_map] + [m2(w) for w in c2.output_map]
-    return _mk(n1 + n2, gates, outs)
+    b = CircuitBuilder(c1.n_inputs + c2.n_inputs)
+    wires = b.inputs()
+    return b.finish(b.splice(c1, wires[:c1.n_inputs]) + b.splice(c2, wires[c1.n_inputs:]))
 
 
 class CircuitBuilder:

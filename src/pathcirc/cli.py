@@ -14,14 +14,17 @@ from pathlib import Path as FsPath
 
 from .circuits import BitVector, ext_equal
 from .errors import ParseError, PathcircError
-from .formats import document_from_json, to_bristol, to_json
+from .formats import document_from_json, json_int, to_bristol, to_json
 from .graphs import EdgeStep, Graph, IdStep, enumerate_graph, parse_graph, path_oracle
 from .universal import encode_graph, universal_verifier
 from .verifiers import Verifier, path_verifier, snarkize
 
 
-def _load_graph(path: str) -> Graph:
-    return parse_graph(FsPath(path).read_text(encoding="utf-8"))
+def _read(path: str) -> str:
+    try:
+        return FsPath(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _write(text: str, out: str | None) -> None:
@@ -50,7 +53,7 @@ def _enumeration_metadata(g: Graph, en) -> dict:
 
 
 def _cmd_compile(args) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read(args.graph))
     en = enumerate_graph(g)
     pv = path_verifier(g, en, args.length)
     metadata = {
@@ -95,16 +98,13 @@ def _wire_partition(meta: dict, kind: str) -> dict[str, int]:
     for name in names:
         if name not in meta:
             raise ParseError(f"circuit metadata lacks the wire partition field {name!r}")
-        value, least = meta[name], 1 if name == "out_width" else 0
-        if type(value) is not int or value < least:
-            raise ParseError(f"circuit metadata field {name!r} must be an integer "
-                             f">= {least}, got {value!r}")
-        widths[name] = value
+        widths[name] = json_int(meta[name], 1 if name == "out_width" else 0,
+                                f"circuit metadata field {name!r}")
     return widths
 
 
 def _cmd_snarkize(args) -> int:
-    doc = document_from_json(FsPath(args.circuit).read_text(encoding="utf-8"))
+    doc = document_from_json(_read(args.circuit))
     meta = dict(doc.metadata or {})
     verifier = Verifier(circuit=doc.circuit, **_wire_partition(meta, args.kind))
     meta["kind"] = f"snark-{args.kind}"
@@ -114,7 +114,7 @@ def _cmd_snarkize(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    doc = document_from_json(FsPath(args.circuit).read_text(encoding="utf-8"))
+    doc = document_from_json(_read(args.circuit))
     try:
         bits = BitVector.from_string(args.input)
     except ValueError as exc:
@@ -134,7 +134,7 @@ def _parse_steps(g: Graph, text: str) -> list:
 
 
 def _cmd_verify_path(args) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read(args.graph))
     en = enumerate_graph(g)
     start = en.vertex_code(g.vertex_index(args.start))
     steps = _parse_steps(g, args.path)
@@ -164,7 +164,7 @@ def _cmd_verify_path(args) -> int:
 
 
 def _cmd_encode_graph(args) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read(args.graph))
     enc = encode_graph(g, args.max_edges, args.max_vertices)
     digits = (enc.bits.width + 3) // 4
     print(f"({args.max_edges},{args.max_vertices}) {enc.bits.value:0{digits}x}")
@@ -172,8 +172,8 @@ def _cmd_encode_graph(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    a = document_from_json(FsPath(args.a).read_text(encoding="utf-8")).circuit
-    b = document_from_json(FsPath(args.b).read_text(encoding="utf-8")).circuit
+    a = document_from_json(_read(args.a)).circuit
+    b = document_from_json(_read(args.b)).circuit
     equal = ext_equal(a, b, max_width=args.max_width)
     print("equal" if equal else "not equal")
     return 0 if equal else 1

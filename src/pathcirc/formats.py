@@ -50,36 +50,46 @@ def to_json(c: Circuit, metadata: Mapping[str, Any] | None = None) -> str:
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
+def is_json_int(value: Any, least: int = 0) -> bool:
+    """A JSON integer (not a bool, float or string) of at least `least`."""
+    return type(value) is int and value >= least
+
+
+def json_int(value: Any, least: int, what: str) -> int:
+    """`value` if :func:`is_json_int`, else ParseError naming `what`."""
+    if not is_json_int(value, least):
+        raise ParseError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def document_from_json(text: str) -> CircuitDocument:
     """Parse a circuit document; structural violations raise ValidationError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("circuit document must be a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {doc.get('format_version')!r}")
-    try:
-        n_inputs = int(doc["n_inputs"])
-        n_outputs = int(doc["n_outputs"])
-        raw_gates = doc["gates"]
-        output_map = [int(w) for w in doc["output_map"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed circuit document: {exc}") from exc
+    if not isinstance(doc.get("gates"), list):
+        raise ParseError("gates must be a list")
     gates = []
-    for i, entry in enumerate(raw_gates):
-        if not isinstance(entry, dict) or entry.get("op") not in GATE_ARITY:
+    for i, entry in enumerate(doc["gates"]):
+        op = entry.get("op") if isinstance(entry, dict) else None
+        if not isinstance(op, str) or op not in GATE_ARITY:
             raise ParseError(f"gate {i}: unknown or missing op")
-        try:
-            gates.append(GateInstance(
-                entry["op"],
-                tuple(int(w) for w in entry["in"]),
-                tuple(int(w) for w in entry["out"]),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"gate {i}: malformed wiring: {exc}") from exc
-    circuit = Circuit(n_inputs, n_outputs, tuple(gates), tuple(output_map))
+        ins, outs = entry.get("in"), entry.get("out")
+        if not (isinstance(ins, list) and isinstance(outs, list)
+                and all(map(is_json_int, ins + outs))):
+            raise ParseError(f"gate {i}: in and out must be lists of integers >= 0")
+        gates.append(GateInstance(op, tuple(ins), tuple(outs)))
+    output_map = doc.get("output_map")
+    if not isinstance(output_map, list) or not all(map(is_json_int, output_map)):
+        raise ParseError("output_map must be a list of integers >= 0")
+    circuit = Circuit(json_int(doc.get("n_inputs"), 0, "n_inputs"),
+                      json_int(doc.get("n_outputs"), 0, "n_outputs"),
+                      tuple(gates), tuple(output_map))
     metadata = doc.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise ParseError("metadata must be a JSON object")

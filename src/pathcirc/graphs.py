@@ -232,6 +232,12 @@ class TruthTable:
 
 
 def _endpoint_table(en: Enumeration, g: Graph, pick) -> TruthTable:
+    if en.graph != g:
+        raise ValidationError("enumeration was derived from a different graph")
+    limit = budget.current().synth_width
+    if en.e_bits > limit:  # the budget synth applies to these tables, before any row
+        raise BudgetError(f"a table over {en.e_bits} edge bits exceeds the width budget "
+                          f"{limit} (raise it with PATHCIRC_BUDGET=synth-width=N)")
     zero = BitVector.zeros(en.v_bits)
     rows = []
     for value in range(1 << en.e_bits):
@@ -248,15 +254,11 @@ def _endpoint_table(en: Enumeration, g: Graph, pick) -> TruthTable:
 def source_table(en: Enumeration, g: Graph) -> TruthTable:
     """Edge code -> source vertex code; identities map to their vertex,
     unassigned codes map to the all-zero code."""
-    if en.graph != g:
-        raise ValidationError("enumeration was derived from a different graph")
     return _endpoint_table(en, g, lambda e: e.src)
 
 
 def target_table(en: Enumeration, g: Graph) -> TruthTable:
     """Edge code -> target vertex code (see source_table)."""
-    if en.graph != g:
-        raise ValidationError("enumeration was derived from a different graph")
     return _endpoint_table(en, g, lambda e: e.tgt)
 
 
@@ -335,7 +337,7 @@ def parse_graph(text: str) -> Graph:
     ``{"vertices": ["a", ...], "edges": [["e", "a", "b"], ...]}``."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("graph document must be a JSON object")

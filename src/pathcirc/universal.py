@@ -3,11 +3,11 @@
 Instead of hardwiring one graph's source/target tables, the circuits
 here take the tables themselves as an extra input bus: a graph within
 capacity (at most ``m`` edges and ``n`` vertices) is serialised into a
-fixed-width bitstring, and universal source/target lookups dispatch on
-that bitstring with one single-point filter per encodable graph,
-AND-gating each graph's table circuit and OR-ing the results. A spec
-input matching no encodable graph therefore yields the all-zero
-"undefined" code, which the MATCH stage rejects. The verifiers built
+fixed-width bitstring. The universal source/target lookups and the
+k = 0 assigned-vertex check share one dispatch on that bitstring: one
+single-point filter per encodable graph, AND-gating that graph's
+circuit, OR-ing the results. A spec matching no encodable graph thus
+yields all zeros, which the MATCH stage rejects. The verifiers built
 here are the :class:`~pathcirc.verifiers.Verifier` shape with the
 encoding on the spec bus; a fixed-graph verifier is the same shape
 with an empty one.
@@ -34,7 +34,8 @@ from .graphs import (
     vertex_width,
 )
 from .synth import assigned_vertex_circuit, filter_circuit, synth
-from .verifiers import Verifier, assemble_step, compose, fold, snarkize, verifier_identity
+from .verifiers import (Verifier, assemble_step, compose, empty_walk, fold, snarkize,
+                        verifier_identity)
 
 
 def encoding_width(m: int, n: int) -> int:
@@ -77,11 +78,9 @@ def encode_graph(g: Graph, m: int, n: int) -> GraphEncoding:
     """Serialise a graph's tables at capacity; codes beyond the graph's
     own elements stay unassigned, so their rows are all-zero."""
     en = capacity_enumeration(g, m, n)
-    bits: tuple[int, ...] = ()
-    for table in (source_table(en, g), target_table(en, g)):
-        for row in table.rows:
-            bits += row.bits
-    return GraphEncoding(m, n, BitVector(bits))
+    tables = (source_table(en, g), target_table(en, g))
+    return GraphEncoding(m, n, BitVector(tuple(
+        bit for table in tables for row in table.rows for bit in row.bits)))
 
 
 def valid_graphs(m: int, n: int, max_count: int | None = None) -> list[Graph]:
@@ -111,38 +110,38 @@ def valid_graphs(m: int, n: int, max_count: int | None = None) -> list[Graph]:
     return out
 
 
-def _universal_lookup(m: int, n: int, table_of, max_count: int | None) -> Circuit:
-    v_bits = vertex_width(n)
-    e_bits = edge_width(m, n)
+def _dispatch(m: int, n: int, key_bits: int, per_graph, max_count: int | None) -> Circuit:
+    """(encoding ++ key) -> the outputs of ``per_graph(en, g)`` on the key
+    for the encoded graph, all-zero when the encoding matches no graph.
+
+    One single-point filter per encodable graph fires on its encoding;
+    it is ANDed into each output bit, and the bits ORed across graphs.
+    """
     f_bits = encoding_width(m, n)
     graphs = valid_graphs(m, n, max_count=max_count)
-    b = CircuitBuilder(f_bits + e_bits)
-    spec_bus = list(range(f_bits))
-    edge_bus = list(range(f_bits, f_bits + e_bits))
-    spec_copies = b.fanout_bus(spec_bus, len(graphs))
-    edge_copies = b.fanout_bus(edge_bus, len(graphs))
-    per_bit: list[list[int]] = [[] for _ in range(v_bits)]
-    for i, g in enumerate(graphs):
+    b = CircuitBuilder(f_bits + key_bits)
+    wires = b.inputs()
+    spec_copies = b.fanout_bus(wires[:f_bits], len(graphs))
+    key_copies = b.fanout_bus(wires[f_bits:], len(graphs))
+    terms = []
+    for g, spec, key in zip(graphs, spec_copies, key_copies):
         en = capacity_enumeration(g, m, n)
-        enc = encode_graph(g, m, n)
-        (fired,) = b.splice(filter_circuit(enc.bits), spec_copies[i])
-        looked_up = b.splice(synth(table_of(en, g)), edge_copies[i])
-        gate = b.fanout(fired, v_bits)
-        for bit in range(v_bits):
-            per_bit[bit].append(b.and_(gate[bit], looked_up[bit]))
-    return b.finish([b.or_chain(bits) for bits in per_bit])
+        (fired,) = b.splice(filter_circuit(encode_graph(g, m, n).bits), spec)
+        out = b.splice(per_graph(en, g), key)
+        terms.append([b.and_(on, bit) for on, bit in zip(b.fanout(fired, len(out)), out)])
+    return b.finish([b.or_chain(column) for column in zip(*terms)])
 
 
 def universal_source(m: int, n: int, max_count: int | None = None) -> Circuit:
     """Source lookup for any encodable graph: (encoding ++ edge code) ->
     source vertex code, all-zero when the encoding matches no graph or
     the edge code is unassigned in it."""
-    return _universal_lookup(m, n, source_table, max_count)
+    return _dispatch(m, n, edge_width(m, n), lambda en, g: synth(source_table(en, g)), max_count)
 
 
 def universal_target(m: int, n: int, max_count: int | None = None) -> Circuit:
     """Target lookup for any encodable graph (see universal_source)."""
-    return _universal_lookup(m, n, target_table, max_count)
+    return _dispatch(m, n, edge_width(m, n), lambda en, g: synth(target_table(en, g)), max_count)
 
 
 def universal_step(m: int, n: int, max_count: int | None = None) -> Verifier:
@@ -154,26 +153,6 @@ def universal_step(m: int, n: int, max_count: int | None = None) -> Verifier:
     """
     return assemble_step(vertex_width(n), encoding_width(m, n), edge_width(m, n),
                          universal_source(m, n, max_count), universal_target(m, n, max_count))
-
-
-def _universal_empty_walk(m: int, n: int, max_count: int | None) -> Verifier:
-    v_bits = vertex_width(n)
-    f_bits = encoding_width(m, n)
-    graphs = valid_graphs(m, n, max_count=max_count)
-    b = CircuitBuilder(v_bits + f_bits)
-    v_bus = list(range(v_bits))
-    spec_bus = list(range(v_bits, v_bits + f_bits))
-    v_copies = b.fanout_bus(v_bus, len(graphs) + 1)
-    spec_copies = b.fanout_bus(spec_bus, len(graphs))
-    terms = []
-    for i, g in enumerate(graphs):
-        en = capacity_enumeration(g, m, n)
-        (fired,) = b.splice(filter_circuit(encode_graph(g, m, n).bits), spec_copies[i])
-        (assigned,) = b.splice(assigned_vertex_circuit(en), v_copies[i])
-        terms.append(b.and_(fired, assigned))
-    flag = b.or_chain(terms)
-    budget.check_gates(len(b.gates), "the empty-walk check")
-    return Verifier(v_bits, f_bits, 0, v_bits, b.finish([flag] + v_copies[-1]))
 
 
 def universal_verifier(m: int, n: int, k: int, max_count: int | None = None) -> Verifier:
@@ -190,7 +169,9 @@ def universal_verifier(m: int, n: int, k: int, max_count: int | None = None) -> 
     if k < 0:
         raise ValueError("k must be non-negative")
     if k == 0:
-        return _universal_empty_walk(m, n, max_count)
+        assigned = _dispatch(m, n, vertex_width(n),
+                             lambda en, g: assigned_vertex_circuit(en), max_count)
+        return empty_walk(vertex_width(n), encoding_width(m, n), assigned)
     return fold(universal_step(m, n, max_count=max_count), k)
 
 

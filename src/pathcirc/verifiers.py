@@ -22,16 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import budget
-from .circuits import (
-    BitVector,
-    Circuit,
-    CircuitBuilder,
-    and_gate,
-    constant,
-    identity,
-    seq,
-    tensor,
-)
+from .circuits import BitVector, Circuit, CircuitBuilder
 from .errors import LengthError, ValidationError, WidthError
 from .graphs import Enumeration, Graph, IdStep, Path, Step
 from .synth import assigned_vertex_circuit, match_circuit, source_circuit, target_circuit
@@ -149,9 +140,22 @@ def edge_evaluator(g: Graph, en: Enumeration, step: Step) -> Verifier:
             raise LookupError(f"graph has no vertex {step.vertex}")
     elif not 0 <= step.edge < g.n_edges:
         raise LookupError(f"graph has no edge {step.edge}")
-    inject = tensor(identity(en.v_bits), constant(en.step_code(step)))
-    verifier = step_verifier(g, en)
-    return Verifier(en.v_bits, 0, 0, en.v_bits, seq(inject, verifier.circuit))
+    b = CircuitBuilder(en.v_bits)
+    code = [b.true() if bit else b.false() for bit in en.step_code(step)]
+    out = b.splice(step_verifier(g, en).circuit, b.inputs() + code)
+    return Verifier(en.v_bits, 0, 0, en.v_bits, b.finish(out))
+
+
+def empty_walk(v_bits: int, spec_bits: int, assigned: Circuit) -> Verifier:
+    """The k = 0 check around `assigned`, a circuit reading (spec ++
+    vertex code) that flags an assigned vertex: accept iff the state is
+    assigned, and pass the state through. Refused over the gate budget."""
+    b = CircuitBuilder(v_bits + spec_bits)
+    wires = b.inputs()
+    through, checked = b.fanout_bus(wires[:v_bits], 2)
+    (flag,) = b.splice(assigned, wires[v_bits:] + checked)
+    budget.check_gates(len(b.gates), "the empty-walk check")
+    return Verifier(v_bits, spec_bits, 0, v_bits, b.finish([flag] + through))
 
 
 def path_verifier(g: Graph, en: Enumeration, k: int) -> Verifier:
@@ -170,11 +174,7 @@ def path_verifier(g: Graph, en: Enumeration, k: int) -> Verifier:
         raise ValueError("k must be non-negative")
     if k > 0:
         return fold(step_verifier(g, en), k)
-    b = CircuitBuilder(en.v_bits)
-    through, checked = b.fanout_bus(b.inputs(), 2)
-    (flag,) = b.splice(assigned_vertex_circuit(en), checked)
-    budget.check_gates(len(b.gates), "the empty-walk check")
-    return Verifier(en.v_bits, 0, 0, en.v_bits, b.finish([flag] + through))
+    return empty_walk(en.v_bits, 0, assigned_vertex_circuit(en))
 
 
 def pad_path(en: Enumeration, p: Path, k: int) -> list[BitVector]:
@@ -202,9 +202,12 @@ def snarkize(f: Verifier) -> Circuit:
     MATCHes the claim. MATCH rejects the all-zero code, so claiming
     "undefined" never succeeds.
     """
-    c = tensor(f.circuit, identity(f.out_width))
-    c = seq(c, tensor(identity(1), match_circuit(f.out_width)))
-    return seq(c, and_gate())
+    n = f.circuit.n_inputs
+    b = CircuitBuilder(n + f.out_width)
+    wires = b.inputs()
+    flag, *state = b.splice(f.circuit, wires[:n])
+    (match,) = b.splice(match_circuit(f.out_width), state + wires[n:])
+    return b.finish([b.and_(flag, match)])
 
 
 kp_identity = verifier_identity

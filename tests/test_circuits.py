@@ -42,6 +42,11 @@ class TestBitVector:
         assert BitVector.zeros(3).is_zero()
         assert not bv("010").is_zero()
 
+    def test_value_of_a_wide_vector(self):
+        v = Random(3).getrandbits(4000)
+        assert BitVector.from_int(v, 4000).value == v
+        assert BitVector.zeros(0).value == 0
+
     def test_concat(self):
         assert bv("01") + bv("10") == bv("0110")
 

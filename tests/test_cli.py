@@ -321,3 +321,46 @@ class TestLibraryGateBudget:
         # the 1-step verifier of ab has 85 gates, the empty-walk check 19
         monkeypatch.setenv("PATHCIRC_BUDGET", "gates=19")
         assert main(["compile", "--graph", ab_graph, "--length", "0"]) == 0
+
+
+def one_error_line(capsys, name: str) -> None:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith(f"error: {name}: ")
+
+
+class TestNoTraceback:
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200_000])
+    @pytest.mark.parametrize("argv", [
+        ["compile", "--length", "1", "--graph"],
+        ["encode-graph", "--max-vertices", "1", "--max-edges", "1", "--graph"],
+        ["verify-path", "--start", "a", "--graph"],
+        ["eval", "--input", "0", "--circuit"],
+        ["snarkize", "--kind", "kp", "--circuit"],
+        ["equiv", "--b", "unused", "--a"],
+    ])
+    def test_unreadable_file_is_a_parse_error(self, tmp_path, capsys, content, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(argv + [str(bad)]) == 1
+        one_error_line(capsys, "ParseError")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--input", "0", "--circuit"],
+        ["snarkize", "--kind", "kp", "--circuit"],
+    ])
+    def test_float_width_is_a_parse_error(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"format_version": "1", "n_inputs": 1e400, "n_outputs": 0, '
+                       '"gates": [], "output_map": [], "metadata": {}}', encoding="utf-8")
+        assert main(argv + [str(bad)]) == 1
+        one_error_line(capsys, "ParseError")
+
+    def test_encode_graph_is_bounded_by_the_synth_width(self, ab_graph, capsys, monkeypatch):
+        monkeypatch.setenv("PATHCIRC_BUDGET", "synth-width=3")
+        assert main(["encode-graph", "--graph", ab_graph, "--max-vertices", "2",
+                     "--max-edges", "8"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "PATHCIRC_BUDGET=synth-width=" in err
+        assert main(["encode-graph", "--graph", ab_graph, "--max-vertices", "2",
+                     "--max-edges", "6"]) == 0

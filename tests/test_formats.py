@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+from random import Random
+
 import pytest
 
 from bristol_ref import run_bristol
-from helpers import bv
+from helpers import bv, random_circuit
 from pathcirc import (
     BitVector,
     ParseError,
@@ -49,6 +52,21 @@ def sample_circuits():
     ]
 
 
+def random_circuits():
+    """Seeded random gate soups, so the interpreter is also checked
+    against the reference on DAGs no constructor emits."""
+    rng = Random(2024)
+    return [random_circuit(rng, rng.randrange(6), rng.randrange(1, 5), max_gates=40)
+            for _ in range(12)]
+
+
+AND_DOC = {"format_version": "1", "n_inputs": 2, "n_outputs": 1,
+           "gates": [{"op": "NAND", "in": [0, 1], "out": [2]},
+                     {"op": "COPY", "in": [2], "out": [3, 4]},
+                     {"op": "NAND", "in": [3, 4], "out": [5]}],
+           "output_map": [5]}
+
+
 class TestJson:
     @pytest.mark.parametrize("circuit", sample_circuits())
     def test_round_trip_is_gate_identical(self, circuit):
@@ -72,6 +90,43 @@ class TestJson:
         with pytest.raises(ParseError):
             from_json('{"format_version": "99", "n_inputs": 0, "n_outputs": 0, '
                       '"gates": [], "output_map": []}')
+
+    def test_and_document_parses(self):
+        assert from_json(json.dumps(AND_DOC)) == and_gate()
+
+    @pytest.mark.parametrize("path, value", [
+        (("n_inputs",), 2.7),
+        (("n_inputs",), 2.0),
+        (("n_inputs",), 1e400),
+        (("n_inputs",), "2"),
+        (("n_inputs",), True),
+        (("n_inputs",), -1),
+        (("n_inputs",), None),
+        (("n_outputs",), 1.0),
+        (("n_outputs",), False),
+        (("output_map", 0), "5"),
+        (("output_map", 0), 5.0),
+        (("output_map",), 5),
+        (("gates", 0, "in"), [True, "1"]),
+        (("gates", 0, "in", 1), 1.0),
+        (("gates", 1, "out"), "34"),
+        (("gates", 2, "out", 0), -5),
+        (("gates", 2, "out"), None),
+        (("gates",), {"op": "NAND"}),
+    ])
+    def test_every_wire_and_count_is_a_json_integer(self, path, value):
+        doc = json.loads(json.dumps(AND_DOC))
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(ParseError):
+            document_from_json(json.dumps(doc))
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            document_from_json("[" * 200_000)
 
     def test_unknown_gate_op(self):
         with pytest.raises(ParseError):
@@ -123,7 +178,7 @@ class TestBristol:
     def test_deterministic_bytes(self):
         assert to_bristol(match_circuit(3)) == to_bristol(match_circuit(3))
 
-    @pytest.mark.parametrize("circuit", sample_circuits())
+    @pytest.mark.parametrize("circuit", sample_circuits() + random_circuits())
     def test_reference_interpreter_agrees(self, circuit):
         text = to_bristol(circuit)
         for x in range(1 << circuit.n_inputs):

@@ -12,12 +12,21 @@ import hashlib
 import pytest
 
 from pathcirc import (
+    EdgeStep,
+    IdStep,
+    and_gate,
+    bus_copy,
+    edge_evaluator,
     enumerate_graph,
+    match_circuit,
     parse_graph,
     path_verifier,
+    seq,
     snarkize,
+    tensor,
     to_json,
     universal_verifier,
+    xor_gate,
 )
 
 ABC = parse_graph(
@@ -45,8 +54,26 @@ def test_snarkized_path_verifier():
 
 
 @pytest.mark.parametrize("k, digest", [
-    (0, "d05b9cb34d9ca1095dd1d00364027975a3bb673ead0c0f63ea5bf433036b1433"),
+    (0, "1a6e972ea09e604a78d23f1fa0a56f70aad89321e5dfeed1ac90d90d33dd078a"),
     (2, "9de8cd51bbd3342c0bbc2396836b0bba3f91d02f4fd6687c67a52fb78b6c86ba"),
 ])
 def test_universal_verifier(k, digest):
     assert sha256(universal_verifier(1, 1, k).circuit) == digest
+
+
+@pytest.mark.parametrize("step, digest", [
+    (EdgeStep(0), "cf3a561b3b9249e962347779880770cfee417c487288d4bb9e7a94438054dcb3"),
+    (IdStep(1), "307f24274bec709d4ddf1358d38cee3ddd0cd3fea99e74278e39b4a3f4e16c73"),
+])
+def test_edge_evaluator(step, digest):
+    assert sha256(edge_evaluator(ABC, enumerate_graph(ABC), step).circuit) == digest
+
+
+def test_seq():
+    assert sha256(seq(bus_copy(2), tensor(and_gate(), xor_gate()))) == \
+        "1f160b4618638d350bb849a44801736afa5d8ac6726e94db8bd3c889fceb557e"
+
+
+def test_tensor():
+    assert sha256(tensor(xor_gate(), match_circuit(2))) == \
+        "85e980f82b6c5ec414eaf822f701960e2ee9a934cd1009ac5dcb7f862b291ec7"
