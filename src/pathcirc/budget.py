@@ -58,9 +58,10 @@ def current(env=os.environ) -> Budget:
     return budget
 
 
-def check_gates(count: int, what: str) -> None:
-    """Refuse `what`, a circuit of `count` gates, if it exceeds the gate budget."""
+def check_gates(count: int, what: str, unit: str = "gates") -> None:
+    """Refuse `what`, a circuit of `count` gates (or inputs, or other
+    `unit`s bounded by the gate budget), if it exceeds the gate budget."""
     limit = current().gate_count
     if count > limit:
-        raise BudgetError(f"{what} has {count} gates, over the gate budget {limit} "
+        raise BudgetError(f"{what} has {count} {unit}, over the gate budget {limit} "
                           f"(raise it with PATHCIRC_BUDGET=gates=N)")

@@ -1,13 +1,24 @@
-"""Gate-list boolean circuits over the fixed NAND/COPY/TRUE/FALSE basis.
+"""Boolean circuits over the fixed NAND/COPY/TRUE/FALSE basis.
 
 A circuit is an immutable DAG. Wires ``0..n_inputs-1`` are the circuit
 inputs; every gate appends its output wires in declaration order, so
-wire ids are dense and the gate list is topologically sorted by
-construction. :meth:`CircuitBuilder.splice` is the one place that
-renumbers wires: sequential composition (:func:`seq`) and juxtaposition
-(:func:`tensor`) are splices into a fresh builder. Identities and
-symmetries (:func:`symmetry`) emit no gates at all -- they are pure
-rewiring through ``output_map``.
+wire ids are dense and the gates are topologically sorted by
+construction.
+
+A circuit is stored flat, as AIG packages store theirs: ``kinds`` holds
+one kind code per gate (an index into :data:`KINDS`), and ``ins`` the
+input wires of every gate, gate after gate. Output wires are not
+stored: by the dense-wire invariant, a gate's outputs are the next
+free wires. :attr:`Circuit.gates` is a derived view of
+:class:`GateInstance` objects, built on demand for callers that want
+one object per gate; the builder, the serialisers and the interpreter
+all work on the arrays.
+
+:meth:`CircuitBuilder.splice` is the one place that renumbers wires:
+sequential composition (:func:`seq`) and juxtaposition (:func:`tensor`)
+are splices into a fresh builder. Identities and symmetries
+(:func:`symmetry`) emit no gates at all -- they are pure rewiring
+through ``output_map``.
 
 There is one interpreter, the bit-sliced engine behind
 :func:`truth_columns`; :meth:`Circuit.evaluate` is that engine with
@@ -19,8 +30,10 @@ and bit vectors can be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import accumulate, chain, islice, repeat
+from operator import lt
+from typing import Iterator, Sequence
 
 from . import budget
 from .errors import BudgetError, ValidationError, WidthError
@@ -32,6 +45,16 @@ FALSE = "FALSE"
 
 #: (input arity, output arity) of each primitive gate kind.
 GATE_ARITY = {NAND: (2, 1), COPY: (1, 2), TRUE: (0, 1), FALSE: (0, 1)}
+
+#: The gate kinds in code order: a circuit stores a gate of kind
+#: ``KINDS[i]`` as the byte ``i``.
+KINDS = (NAND, COPY, TRUE, FALSE)
+CODE = {kind: i for i, kind in enumerate(KINDS)}
+_NAND, _COPY, _TRUE, _FALSE = range(len(KINDS))
+_CODES = bytes(range(len(KINDS)))
+#: ``bytes.translate`` tables from a kind code to its input / output arity.
+_N_IN = bytes(GATE_ARITY[KINDS[i]][0] if i < len(KINDS) else 0 for i in range(256))
+_N_OUT = bytes(GATE_ARITY[KINDS[i]][1] if i < len(KINDS) else 0 for i in range(256))
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -118,46 +141,120 @@ class GateInstance:
             )
 
 
-@dataclass(frozen=True)
-class Circuit:
-    """Immutable gate-list circuit with dense, topologically ordered wires."""
+def _flatten(n_inputs: int, gates) -> tuple[bytearray, list[int]]:
+    """The kind codes and input wires of a gate list whose output wires
+    are dense."""
+    kinds, ins = bytearray(), []
+    next_wire = n_inputs
+    for g in gates:
+        for w in g.out_wires:
+            if w != next_wire:
+                raise ValidationError(f"{g.kind} gate writes wire {w}, expected {next_wire}")
+            next_wire += 1
+        kinds.append(CODE[g.kind])
+        ins.extend(g.in_wires)
+    return kinds, ins
 
-    n_inputs: int
-    n_outputs: int
-    gates: tuple[GateInstance, ...]
-    output_map: tuple[int, ...]
+
+class Circuit:
+    """Immutable circuit with dense, topologically ordered wires.
+
+    ``Circuit(n_inputs, n_outputs, gates, output_map)`` builds one from
+    a sequence of :class:`GateInstance`; the builder leaves ``gates``
+    None and passes the flat arrays, ``kinds`` and ``ins``, instead.
+    Either way the circuit is validated in :meth:`__post_init__`.
+    """
+
+    __slots__ = ("n_inputs", "n_outputs", "kinds", "ins", "output_map")
+
+    def __init__(self, n_inputs: int, n_outputs: int, gates=None, output_map=(),
+                 kinds: bytes = b"", ins: Sequence[int] = ()):
+        if gates is not None:
+            kinds, ins = _flatten(n_inputs, gates)
+        set_ = object.__setattr__
+        set_(self, "n_inputs", n_inputs)
+        set_(self, "n_outputs", n_outputs)
+        set_(self, "kinds", bytes(kinds))
+        set_(self, "ins", tuple(ins))
+        set_(self, "output_map", tuple(output_map))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "output_map", tuple(self.output_map))
+        kinds, ins = self.kinds, self.ins
         if self.n_inputs < 0:
             raise ValidationError("n_inputs must be non-negative")
         if self.n_outputs != len(self.output_map):
             raise ValidationError("n_outputs does not match output_map length")
+        unknown = kinds.translate(None, _CODES)
+        if unknown:
+            raise ValidationError(f"unknown gate kind code {unknown[0]}")
+        arities = kinds.translate(_N_IN)
+        if len(ins) != sum(arities):
+            raise ValidationError(f"the gates read {sum(arities)} wires, "
+                                  f"but {len(ins)} input wires are given")
+        # a gate may read any wire below its own first output
+        firsts = accumulate(kinds.translate(_N_OUT), initial=self.n_inputs)
+        if ins and (min(ins) < 0 or not all(map(lt, ins, chain.from_iterable(
+                map(repeat, firsts, arities))))):
+            self._raise_undefined_read()
+        wires = self.wire_count
+        if self.output_map and not (0 <= min(self.output_map) and max(self.output_map) < wires):
+            bad = next(w for w in self.output_map if not 0 <= w < wires)
+            raise ValidationError(f"output_map references undefined wire {bad}")
+
+    def _raise_undefined_read(self):
+        read = iter(self.ins)
         next_wire = self.n_inputs
-        for g in self.gates:
-            for w in g.in_wires:
+        for code in self.kinds:
+            for w in islice(read, _N_IN[code]):
                 if not 0 <= w < next_wire:
-                    raise ValidationError(
-                        f"{g.kind} gate reads undefined wire {w}"
-                    )
-            for w in g.out_wires:
-                if w != next_wire:
-                    raise ValidationError(
-                        f"{g.kind} gate writes wire {w}, expected {next_wire}"
-                    )
-                next_wire += 1
-        for w in self.output_map:
-            if not 0 <= w < next_wire:
-                raise ValidationError(f"output_map references undefined wire {w}")
+                    raise ValidationError(f"{KINDS[code]} gate reads undefined wire {w}")
+            next_wire += _N_OUT[code]
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return self.n_inputs, self.n_outputs, self.kinds, self.ins, self.output_map
+
+    def __eq__(self, other):
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return Circuit, (self.n_inputs, self.n_outputs, None, self.output_map,
+                         self.kinds, self.ins)
+
+    def __repr__(self):
+        return (f"Circuit(n_inputs={self.n_inputs}, n_outputs={self.n_outputs}, "
+                f"gates={self.gate_count}, output_map={self.output_map!r})")
+
+    @property
+    def gates(self) -> tuple[GateInstance, ...]:
+        """The gates as :class:`GateInstance` objects, built on each access."""
+        out = []
+        read = iter(self.ins)
+        next_wire = self.n_inputs
+        for code in self.kinds:
+            n_out = _N_OUT[code]
+            out.append(GateInstance(KINDS[code], tuple(islice(read, _N_IN[code])),
+                                    tuple(range(next_wire, next_wire + n_out))))
+            next_wire += n_out
+        return tuple(out)
 
     @property
     def wire_count(self) -> int:
-        return self.n_inputs + sum(len(g.out_wires) for g in self.gates)
+        return self.n_inputs + sum(self.kinds.translate(_N_OUT))
 
     @property
     def gate_count(self) -> int:
-        return len(self.gates)
+        return len(self.kinds)
 
     def evaluate(self, inputs: BitVector) -> BitVector:
         """Run the circuit on one input vector: :func:`truth_columns`
@@ -169,26 +266,21 @@ class Circuit:
         return BitVector(tuple(truth_columns(self, dict(enumerate(inputs.bits)))))
 
 
-def _mk(n_inputs: int, gates: Iterable[GateInstance], output_map: Iterable[int]) -> Circuit:
-    out = tuple(output_map)
-    return Circuit(n_inputs, len(out), tuple(gates), out)
-
-
 def primitive(kind: str) -> Circuit:
     """Single-gate circuit for one of the four primitive kinds."""
     n_in, n_out = GATE_ARITY[kind]
-    gate = GateInstance(kind, tuple(range(n_in)), tuple(range(n_in, n_in + n_out)))
-    return _mk(n_in, (gate,), range(n_in, n_in + n_out))
+    return Circuit(n_in, n_out, None, range(n_in, n_in + n_out), bytes([CODE[kind]]),
+                   range(n_in))
 
 
 def identity(width: int) -> Circuit:
     """Identity on `width` wires; zero gates."""
-    return _mk(width, (), range(width))
+    return Circuit(width, width, (), range(width))
 
 
 def symmetry(w1: int, w2: int) -> Circuit:
     """Swap a `w1`-wire block past a `w2`-wire block; zero gates."""
-    return _mk(w1 + w2, (), list(range(w1, w1 + w2)) + list(range(w1)))
+    return Circuit(w1 + w2, w1 + w2, (), list(range(w1, w1 + w2)) + list(range(w1)))
 
 
 def seq(c1: Circuit, c2: Circuit) -> Circuit:
@@ -214,36 +306,43 @@ class CircuitBuilder:
     Methods return the fresh output wire ids. Beyond the four
     primitives it offers the usual derived connectives, left-leaning
     fan-out / AND / OR chains, and `splice`, which inlines a finished
-    circuit onto existing wires.
+    circuit onto existing wires. Gates go straight into the flat arrays
+    a :class:`Circuit` keeps.
     """
 
     def __init__(self, n_inputs: int):
         self.n_inputs = n_inputs
-        self.gates: list[GateInstance] = []
+        self.kinds = bytearray()
+        self.ins: list[int] = []
         self._next = n_inputs
+
+    @property
+    def gate_count(self) -> int:
+        return len(self.kinds)
 
     def inputs(self) -> list[int]:
         return list(range(self.n_inputs))
 
-    def _emit(self, kind: str, in_wires: Sequence[int]) -> list[int]:
-        n_out = GATE_ARITY[kind][1]
-        outs = list(range(self._next, self._next + n_out))
-        self.gates.append(GateInstance(kind, tuple(in_wires), tuple(outs)))
-        self._next += n_out
-        return outs
+    def _emit(self, code: int, in_wires: Sequence[int]) -> int:
+        """Append one gate; return its first output wire."""
+        self.kinds.append(code)
+        self.ins.extend(in_wires)
+        w = self._next
+        self._next = w + _N_OUT[code]
+        return w
 
     def nand(self, a: int, b: int) -> int:
-        return self._emit(NAND, (a, b))[0]
+        return self._emit(_NAND, (a, b))
 
     def copy(self, a: int) -> tuple[int, int]:
-        o1, o2 = self._emit(COPY, (a,))
-        return o1, o2
+        w = self._emit(_COPY, (a,))
+        return w, w + 1
 
     def true(self) -> int:
-        return self._emit(TRUE, ())[0]
+        return self._emit(_TRUE, ())
 
     def false(self) -> int:
-        return self._emit(FALSE, ())[0]
+        return self._emit(_FALSE, ())
 
     def not_(self, a: int) -> int:
         a1, a2 = self.copy(a)
@@ -303,17 +402,17 @@ class CircuitBuilder:
             raise WidthError(
                 f"splice expects {sub.n_inputs} wires, got {len(in_wires)}"
             )
-        offset = self._next - sub.n_inputs
-
-        def remap(w: int) -> int:
-            return in_wires[w] if w < sub.n_inputs else w + offset
-
-        for g in sub.gates:
-            self._emit(g.kind, tuple(remap(w) for w in g.in_wires))
-        return [remap(w) for w in sub.output_map]
+        # wire[w] is the wire here of sub's wire w
+        wire = list(in_wires)
+        wire.extend(range(self._next, self._next + sub.wire_count - sub.n_inputs))
+        self.kinds += sub.kinds
+        self.ins += map(wire.__getitem__, sub.ins)
+        self._next += len(wire) - sub.n_inputs
+        return [wire[w] for w in sub.output_map]
 
     def finish(self, output_map: Sequence[int]) -> Circuit:
-        return _mk(self.n_inputs, self.gates, output_map)
+        out = tuple(output_map)
+        return Circuit(self.n_inputs, len(out), None, out, self.kinds, self.ins)
 
 
 def constant(bits: BitVector) -> Circuit:
@@ -376,14 +475,14 @@ def truth_columns(c: Circuit, fixed: dict[int, int] | None = None) -> list[int]:
     ``i`` of a returned column is the output value on the assignment
     whose (MSB-first) integer value is ``i``. Every column is returned
     as a single arbitrary-precision integer, which makes exhaustive
-    equivalence checks a single pass over the gate list.
+    equivalence checks a single pass over the gates.
     """
     fixed = fixed or {}
     free = [w for w in range(c.n_inputs) if w not in fixed]
     n = len(free)
     size = 1 << n
     full = (1 << size) - 1
-    cols = [0] * c.wire_count
+    cols = [0] * c.n_inputs
     for w, bit in fixed.items():
         if not 0 <= w < c.n_inputs:
             raise WidthError(f"fixed wire {w} is not a circuit input")
@@ -393,19 +492,38 @@ def truth_columns(c: Circuit, fixed: dict[int, int] | None = None) -> list[int]:
         period = half << 1
         unit = ((1 << half) - 1) << half
         cols[w] = unit * (full // ((1 << period) - 1))
-    for g in c.gates:
-        if g.kind == NAND:
-            a, b = g.in_wires
-            cols[g.out_wires[0]] = full ^ (cols[a] & cols[b])
-        elif g.kind == COPY:
-            v = cols[g.in_wires[0]]
-            cols[g.out_wires[0]] = v
-            cols[g.out_wires[1]] = v
-        elif g.kind == TRUE:
-            cols[g.out_wires[0]] = full
+    # wires are dense, so each gate appends its outputs' columns
+    append = cols.append
+    read = iter(c.ins).__next__
+    for code in c.kinds:
+        if code == _NAND:
+            append(full ^ (cols[read()] & cols[read()]))
+        elif code == _COPY:
+            v = cols[read()]
+            append(v)
+            append(v)
+        elif code == _TRUE:
+            append(full)
         else:
-            cols[g.out_wires[0]] = 0
+            append(0)
     return [cols[w] for w in c.output_map]
+
+
+def nand_depth(c: Circuit) -> int:
+    """Longest input-to-output path, counted in NAND gates."""
+    depth = [0] * c.n_inputs
+    append = depth.append
+    read = iter(c.ins).__next__
+    for code in c.kinds:
+        if code == _NAND:
+            append(1 + max(depth[read()], depth[read()]))
+        elif code == _COPY:
+            d = depth[read()]
+            append(d)
+            append(d)
+        else:
+            append(0)
+    return max((depth[w] for w in c.output_map), default=0)
 
 
 def ext_equal(c1: Circuit, c2: Circuit, max_width: int | None = None) -> bool:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: compile, compile-universal, snarkize, eval, verify-path,
-encode-graph, equiv. Bitstrings on the command line are written most
+encode-graph, equiv, stats. Bitstrings on the command line are written most
 significant bit first, matching the enumeration tables. Domain errors
 exit 1 with a message on stderr; bad flags exit 2 via argparse.
 """
@@ -9,10 +9,11 @@ exit 1 with a message on stderr; bad flags exit 2 via argparse.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path as FsPath
 
-from .circuits import BitVector, ext_equal
+from .circuits import CODE, NAND, BitVector, Circuit, ext_equal, nand_depth
 from .errors import ParseError, PathcircError
 from .formats import document_from_json, json_int, to_bristol, to_json
 from .graphs import EdgeStep, Graph, IdStep, enumerate_graph, parse_graph, path_oracle
@@ -179,6 +180,27 @@ def _cmd_equiv(args) -> int:
     return 0 if equal else 1
 
 
+def _circuit_stats(c: Circuit) -> dict:
+    """What a circuit costs: its boundary, gates by kind, wires, NAND
+    count and depth, and the gate count of its Bristol Fashion form."""
+    by_kind = {kind: c.kinds.count(code) for kind, code in CODE.items()}
+    return {
+        "inputs": c.n_inputs,
+        "outputs": c.n_outputs,
+        "gates": c.gate_count,
+        "gates_by_kind": by_kind,
+        "wires": c.wire_count,
+        "nand_gates": by_kind[NAND],
+        "nand_depth": nand_depth(c),
+        "bristol_gates": int(to_bristol(c).split(" ", 1)[0]),
+    }
+
+
+def _cmd_stats(args) -> int:
+    print(json.dumps(_circuit_stats(document_from_json(_read(args.circuit)).circuit)))
+    return 0
+
+
 def _at_least(least: int):
     """An argparse type: an integer no smaller than `least`."""
     def parse(text: str) -> int:
@@ -247,6 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--max-width", type=int, default=None)
     p.set_defaults(run=_cmd_equiv)
+
+    p = sub.add_parser("stats", help="print a circuit's size, depth and Bristol gate count")
+    p.add_argument("--circuit", required=True, help="circuit JSON file")
+    p.set_defaults(run=_cmd_stats)
 
     return parser
 

@@ -18,11 +18,14 @@ outputs).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Mapping
 
-from .circuits import COPY, GATE_ARITY, NAND, TRUE, Circuit, GateInstance
-from .errors import ParseError
+from . import budget
+from .circuits import _COPY, _NAND, _TRUE, CODE, GATE_ARITY, KINDS, Circuit
+from .errors import ParseError, ValidationError
 
 FORMAT_VERSION = "1"
 
@@ -33,21 +36,47 @@ class CircuitDocument:
     metadata: Mapping[str, Any] | None = None
 
 
+#: The JSON text of one gate of each kind, as ``json.dumps(doc, indent=2)``
+#: writes it inside the document: the input wires, then the output wires.
+_GATE_JSON = tuple(
+    '    {\n      "op": "%s",\n      "in": %s,\n      "out": [\n%s\n      ]\n    }' % (
+        kind,
+        "[\n" + ",\n".join(["        %d"] * n_in) + "\n      ]" if n_in else "[]",
+        ",\n".join(["        %d"] * n_out))
+    for kind, (n_in, n_out) in ((kind, GATE_ARITY[kind]) for kind in KINDS))
+
+
 def to_json(c: Circuit, metadata: Mapping[str, Any] | None = None) -> str:
-    """Serialise a circuit (and optional metadata) deterministically."""
-    doc: dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
-        "n_inputs": c.n_inputs,
-        "n_outputs": c.n_outputs,
-        "gates": [
-            {"op": g.kind, "in": list(g.in_wires), "out": list(g.out_wires)}
-            for g in c.gates
-        ],
-        "output_map": list(c.output_map),
-    }
+    """Serialise a circuit (and optional metadata) deterministically.
+
+    The text is exactly ``json.dumps(doc, indent=2) + "\\n"`` of the
+    document, but each gate is written from its kind's template rather
+    than through the encoder.
+    """
+    gates = []
+    read = iter(c.ins).__next__
+    w = c.n_inputs
+    for code in c.kinds:
+        if code == _NAND:
+            gates.append(_GATE_JSON[code] % (read(), read(), w))
+            w += 1
+        elif code == _COPY:
+            gates.append(_GATE_JSON[code] % (read(), w, w + 1))
+            w += 2
+        else:
+            gates.append(_GATE_JSON[code] % w)
+            w += 1
+    parts = [
+        '{\n  "format_version": %s,\n' % json.dumps(FORMAT_VERSION),
+        f'  "n_inputs": {c.n_inputs},\n  "n_outputs": {c.n_outputs},\n',
+        '  "gates": [\n' + ",\n".join(gates) + "\n  ],\n" if gates else '  "gates": [],\n',
+        '  "output_map": [\n' + ",\n".join(f"    {w}" for w in c.output_map) + "\n  ]"
+        if c.output_map else '  "output_map": []',
+    ]
     if metadata is not None:
-        doc["metadata"] = metadata
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+        parts.append(',\n  "metadata": ' + json.dumps(metadata, indent=2).replace("\n", "\n  "))
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def is_json_int(value: Any, least: int = 0) -> bool:
@@ -62,8 +91,21 @@ def json_int(value: Any, least: int, what: str) -> int:
     return value
 
 
+def _check_wires(entries: list, wires: list) -> None:
+    """Refuse gate entries whose wires, flattened into `wires`, are not
+    all JSON integers >= 0, naming the first such gate."""
+    if wires and (set(map(type, wires)) != {int} or min(wires) < 0):
+        i = next(i for i, entry in enumerate(entries)
+                 if not all(map(is_json_int, entry["in"] + entry["out"])))
+        raise ParseError(f"gate {i}: in and out must be lists of integers >= 0")
+
+
 def document_from_json(text: str) -> CircuitDocument:
-    """Parse a circuit document; structural violations raise ValidationError."""
+    """Parse a circuit document; structural violations raise ValidationError.
+
+    A document declaring more inputs or gates than the gate budget is
+    refused before the circuit is built.
+    """
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -74,22 +116,36 @@ def document_from_json(text: str) -> CircuitDocument:
         raise ParseError(f"unsupported format_version {doc.get('format_version')!r}")
     if not isinstance(doc.get("gates"), list):
         raise ParseError("gates must be a list")
-    gates = []
-    for i, entry in enumerate(doc["gates"]):
+    n_inputs = json_int(doc.get("n_inputs"), 0, "n_inputs")
+    budget.check_gates(n_inputs, "the circuit document", "inputs")
+    budget.check_gates(len(doc["gates"]), "the circuit document")
+    entries = doc["gates"]
+    kinds, ins, outs = bytearray(), [], []
+    for i, entry in enumerate(entries):
         op = entry.get("op") if isinstance(entry, dict) else None
         if not isinstance(op, str) or op not in GATE_ARITY:
             raise ParseError(f"gate {i}: unknown or missing op")
-        ins, outs = entry.get("in"), entry.get("out")
-        if not (isinstance(ins, list) and isinstance(outs, list)
-                and all(map(is_json_int, ins + outs))):
+        gate_ins, gate_outs = entry.get("in"), entry.get("out")
+        if not (isinstance(gate_ins, list) and isinstance(gate_outs, list)):
             raise ParseError(f"gate {i}: in and out must be lists of integers >= 0")
-        gates.append(GateInstance(op, tuple(ins), tuple(outs)))
+        n_in, n_out = GATE_ARITY[op]
+        if len(gate_ins) != n_in or len(gate_outs) != n_out:
+            _check_wires(entries[:i + 1], ins + outs + gate_ins + gate_outs)
+            raise ValidationError(f"{op} gate must have {n_in} inputs / {n_out} outputs, "
+                                  f"got {len(gate_ins)}/{len(gate_outs)}")
+        kinds.append(CODE[op])
+        ins += gate_ins
+        outs += gate_outs
+    _check_wires(entries, ins + outs)
     output_map = doc.get("output_map")
     if not isinstance(output_map, list) or not all(map(is_json_int, output_map)):
         raise ParseError("output_map must be a list of integers >= 0")
-    circuit = Circuit(json_int(doc.get("n_inputs"), 0, "n_inputs"),
-                      json_int(doc.get("n_outputs"), 0, "n_outputs"),
-                      tuple(gates), tuple(output_map))
+    n_outputs = json_int(doc.get("n_outputs"), 0, "n_outputs")
+    dense = range(n_inputs, n_inputs + len(outs))
+    if outs != list(dense):
+        w, expected = next((w, e) for w, e in zip(outs, dense) if w != e)
+        raise ValidationError(f"a gate writes wire {w}, expected {expected}")
+    circuit = Circuit(n_inputs, n_outputs, None, output_map, kinds, ins)
     metadata = doc.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise ParseError("metadata must be a JSON object")
@@ -102,59 +158,48 @@ def from_json(text: str) -> Circuit:
 
 def to_bristol(c: Circuit) -> str:
     """Export in Bristol Fashion; byte-deterministic for a given circuit."""
-    internal: dict[int, int] = {w: w for w in range(c.n_inputs)}
-    next_wire = c.n_inputs
-    lowered: list[tuple[str, tuple[int | str, ...], int]] = []
-
-    def fresh() -> int:
-        nonlocal next_wire
-        w = next_wire
-        next_wire += 1
-        return w
-
-    for g in c.gates:
-        ins = tuple(internal[w] for w in g.in_wires)
-        if g.kind == NAND:
-            t = fresh()
-            lowered.append(("AND", ins, t))
-            out = fresh()
-            lowered.append(("INV", (t,), out))
-            internal[g.out_wires[0]] = out
-        elif g.kind == COPY:
-            for out_wire in g.out_wires:
-                out = fresh()
-                lowered.append(("EQW", ins, out))
-                internal[out_wire] = out
+    n_in = c.n_inputs
+    # bristol[w]: the Bristol wire holding circuit wire w. Lowered gate i
+    # has operator ops[i] and sources srcs[i], and writes Bristol wire n_in + i.
+    bristol = list(range(n_in))
+    ops: list[str] = []
+    srcs: list[tuple[int | str, ...]] = []
+    read = iter(c.ins).__next__
+    for code in c.kinds:
+        out = n_in + len(ops)
+        if code == _NAND:
+            ops += ("AND", "INV")
+            srcs += ((bristol[read()], bristol[read()]), (out,))
+            bristol.append(out + 1)
+        elif code == _COPY:
+            src = (bristol[read()],)
+            ops += ("EQW", "EQW")
+            srcs += (src, src)
+            bristol += (out, out + 1)
         else:
-            out = fresh()
-            lowered.append(("EQ", ("1" if g.kind == TRUE else "0",), out))
-            internal[g.out_wires[0]] = out
+            ops.append("EQ")
+            srcs.append(("1" if code == _TRUE else "0",))
+            bristol.append(out)
 
-    out_region = list(range(next_wire, next_wire + c.n_outputs))
+    next_wire = n_in + len(ops)
+    outs = list(range(n_in, next_wire))
     n_wires = next_wire + c.n_outputs
-    read = {w for _, ins, _ in lowered for w in ins if isinstance(w, int)}
-    gate_at = {out: i for i, (_, _, out) in enumerate(lowered)}
-    relocations = []
+    read_wires = set(chain.from_iterable(srcs))
+    uses = Counter(c.output_map)
     for slot, src in enumerate(c.output_map):
-        wire = internal[src]
-        fusable = (
-            wire >= c.n_inputs
-            and wire not in read
-            and c.output_map.count(src) == 1
-        )
-        if fusable:
-            op, ins, _ = lowered[gate_at[wire]]
-            lowered[gate_at[wire]] = (op, ins, out_region[slot])
+        wire = bristol[src]
+        target = next_wire + slot
+        if wire >= n_in and wire not in read_wires and uses[src] == 1:
+            outs[wire - n_in] = target
         else:
-            relocations.append(("EQW", (wire,), out_region[slot]))
-    lowered += relocations
+            ops.append("EQW")
+            srcs.append((wire,))
+            outs.append(target)
 
-    lines = [f"{len(lowered)} {n_wires}"]
-    lines.append(f"1 {c.n_inputs}" if c.n_inputs else "0")
-    lines.append(f"1 {c.n_outputs}" if c.n_outputs else "0")
-    lines.append("")
-    for op, ins, out in lowered:
-        n_in = len(ins)
-        fields = " ".join(str(x) for x in ins)
-        lines.append(f"{n_in} 1 {fields} {out} {op}")
+    lines = [f"{len(ops)} {n_wires}",
+             f"1 {n_in}" if n_in else "0",
+             f"1 {c.n_outputs}" if c.n_outputs else "0",
+             ""]
+    lines += [f"{len(ins)} 1 {' '.join(map(str, ins))} {out} {op}"
+              for op, ins, out in zip(ops, srcs, outs)]
     return "\n".join(lines) + "\n"

@@ -74,13 +74,20 @@ def capacity_enumeration(g: Graph, m: int, n: int) -> Enumeration:
     return enumerate_graph(g, v_bits=vertex_width(n), e_bits=edge_width(m, n))
 
 
+def _tables(g: Graph, m: int, n: int):
+    """A graph's enumeration at capacity, and its source and target tables."""
+    en = capacity_enumeration(g, m, n)
+    return en, (source_table(en, g), target_table(en, g))
+
+
+def _encoding_bits(tables) -> BitVector:
+    return BitVector(tuple(bit for table in tables for row in table.rows for bit in row.bits))
+
+
 def encode_graph(g: Graph, m: int, n: int) -> GraphEncoding:
     """Serialise a graph's tables at capacity; codes beyond the graph's
     own elements stay unassigned, so their rows are all-zero."""
-    en = capacity_enumeration(g, m, n)
-    tables = (source_table(en, g), target_table(en, g))
-    return GraphEncoding(m, n, BitVector(tuple(
-        bit for table in tables for row in table.rows for bit in row.bits)))
+    return GraphEncoding(m, n, _encoding_bits(_tables(g, m, n)[1]))
 
 
 def valid_graphs(m: int, n: int, max_count: int | None = None) -> list[Graph]:
@@ -110,38 +117,53 @@ def valid_graphs(m: int, n: int, max_count: int | None = None) -> list[Graph]:
     return out
 
 
-def _dispatch(m: int, n: int, key_bits: int, per_graph, max_count: int | None) -> Circuit:
-    """(encoding ++ key) -> the outputs of ``per_graph(en, g)`` on the key
-    for the encoded graph, all-zero when the encoding matches no graph.
+def _family(m: int, n: int, max_count: int | None) -> list:
+    """Every encodable graph at capacity (m, n), as its enumeration and
+    its source and target tables, each built once."""
+    return [_tables(g, m, n) for g in valid_graphs(m, n, max_count=max_count)]
 
-    One single-point filter per encodable graph fires on its encoding;
-    it is ANDed into each output bit, and the bits ORed across graphs.
+
+def _dispatch(f_bits: int, key_bits: int, family: list, per_graph) -> Circuit:
+    """(encoding ++ key) -> the outputs of ``per_graph(en, tables)`` on
+    the key for the encoded graph of ``family`` (see :func:`_family`),
+    all-zero when the encoding matches no graph.
+
+    One single-point filter per graph fires on its encoding, read off
+    its tables; it is ANDed into each output bit, and the bits ORed
+    across graphs.
     """
-    f_bits = encoding_width(m, n)
-    graphs = valid_graphs(m, n, max_count=max_count)
     b = CircuitBuilder(f_bits + key_bits)
     wires = b.inputs()
-    spec_copies = b.fanout_bus(wires[:f_bits], len(graphs))
-    key_copies = b.fanout_bus(wires[f_bits:], len(graphs))
+    spec_copies = b.fanout_bus(wires[:f_bits], len(family))
+    key_copies = b.fanout_bus(wires[f_bits:], len(family))
     terms = []
-    for g, spec, key in zip(graphs, spec_copies, key_copies):
-        en = capacity_enumeration(g, m, n)
-        (fired,) = b.splice(filter_circuit(encode_graph(g, m, n).bits), spec)
-        out = b.splice(per_graph(en, g), key)
+    for (en, tables), spec, key in zip(family, spec_copies, key_copies):
+        (fired,) = b.splice(filter_circuit(_encoding_bits(tables)), spec)
+        out = b.splice(per_graph(en, tables), key)
         terms.append([b.and_(on, bit) for on, bit in zip(b.fanout(fired, len(out)), out)])
     return b.finish([b.or_chain(column) for column in zip(*terms)])
 
 
-def universal_source(m: int, n: int, max_count: int | None = None) -> Circuit:
+def _lookup(m: int, n: int, side: int, max_count: int | None, family: list | None) -> Circuit:
+    if family is None:
+        family = _family(m, n, max_count)
+    return _dispatch(encoding_width(m, n), edge_width(m, n), family,
+                     lambda en, tables: synth(tables[side]))
+
+
+def universal_source(m: int, n: int, max_count: int | None = None,
+                     family: list | None = None) -> Circuit:
     """Source lookup for any encodable graph: (encoding ++ edge code) ->
     source vertex code, all-zero when the encoding matches no graph or
-    the edge code is unassigned in it."""
-    return _dispatch(m, n, edge_width(m, n), lambda en, g: synth(source_table(en, g)), max_count)
+    the edge code is unassigned in it. A caller that builds both lookups
+    passes the graph family (:func:`_family`) it built once."""
+    return _lookup(m, n, 0, max_count, family)
 
 
-def universal_target(m: int, n: int, max_count: int | None = None) -> Circuit:
+def universal_target(m: int, n: int, max_count: int | None = None,
+                     family: list | None = None) -> Circuit:
     """Target lookup for any encodable graph (see universal_source)."""
-    return _dispatch(m, n, edge_width(m, n), lambda en, g: synth(target_table(en, g)), max_count)
+    return _lookup(m, n, 1, max_count, family)
 
 
 def universal_step(m: int, n: int, max_count: int | None = None) -> Verifier:
@@ -149,10 +171,13 @@ def universal_step(m: int, n: int, max_count: int | None = None) -> Verifier:
 
     State in: a vertex code at capacity width. Spec: a graph encoding.
     Witness: an edge code. Flag is MATCH(vertex, source); state out is
-    the target, both read through the universal lookups.
+    the target, both read through the universal lookups, which share
+    one build of the graph family's tables.
     """
+    family = _family(m, n, max_count)
     return assemble_step(vertex_width(n), encoding_width(m, n), edge_width(m, n),
-                         universal_source(m, n, max_count), universal_target(m, n, max_count))
+                         universal_source(m, n, family=family),
+                         universal_target(m, n, family=family))
 
 
 def universal_verifier(m: int, n: int, k: int, max_count: int | None = None) -> Verifier:
@@ -169,8 +194,8 @@ def universal_verifier(m: int, n: int, k: int, max_count: int | None = None) -> 
     if k < 0:
         raise ValueError("k must be non-negative")
     if k == 0:
-        assigned = _dispatch(m, n, vertex_width(n),
-                             lambda en, g: assigned_vertex_circuit(en), max_count)
+        assigned = _dispatch(encoding_width(m, n), vertex_width(n), _family(m, n, max_count),
+                             lambda en, tables: assigned_vertex_circuit(en))
         return empty_walk(vertex_width(n), encoding_width(m, n), assigned)
     return fold(universal_step(m, n, max_count=max_count), k)
 

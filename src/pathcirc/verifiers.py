@@ -114,14 +114,30 @@ def fold(step: Verifier, k: int) -> Verifier:
 
     Each composition adds the spec fan-out and one AND (3 gates) to the
     two halves, so the gate count is known exactly in advance, and a
-    fold over the gate budget is refused before any composing.
+    fold over the gate budget is refused before any gate is emitted.
+
+    The k steps are spliced into one builder, in the order the left fold
+    ``compose(...compose(step, step)..., step)`` emits them: first the
+    k - 1 nested spec fan-outs, outermost first, then step i on the i-th
+    spec copy, each step's flag ANDed after it.
     """
     gates = k * step.circuit.gate_count + (k - 1) * (3 + step.spec_width)
     budget.check_gates(gates, f"a {k}-step verifier")
-    out = step
+    n, s, w = step.in_width, step.spec_width, step.witness_width
+    b = CircuitBuilder(n + s + k * w)
+    wires = b.inputs()
+    spec, later = wires[n:n + s], []  # later: the spec copies of steps k, k - 1, ..., 2
     for _ in range(k - 1):
-        out = compose(out, step)
-    return out
+        spec, last = b.fanout_bus(spec, 2)
+        later.append(last)
+    specs = [spec] + later[::-1]
+    state = wires[:n]
+    flag = None
+    for i, spec in enumerate(specs):
+        witness = wires[n + s + i * w:n + s + (i + 1) * w]
+        step_flag, *state = b.splice(step.circuit, state + spec + witness)
+        flag = step_flag if flag is None else b.and_(flag, step_flag)
+    return Verifier(n, s, k * w, step.out_width, b.finish([flag] + state))
 
 
 def step_verifier(g: Graph, en: Enumeration) -> Verifier:
@@ -154,7 +170,7 @@ def empty_walk(v_bits: int, spec_bits: int, assigned: Circuit) -> Verifier:
     wires = b.inputs()
     through, checked = b.fanout_bus(wires[:v_bits], 2)
     (flag,) = b.splice(assigned, wires[v_bits:] + checked)
-    budget.check_gates(len(b.gates), "the empty-walk check")
+    budget.check_gates(b.gate_count, "the empty-walk check")
     return Verifier(v_bits, spec_bits, 0, v_bits, b.finish([flag] + through))
 
 

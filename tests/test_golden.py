@@ -47,6 +47,11 @@ def test_path_verifier(k, digest):
     assert sha256(path_verifier(ABC, enumerate_graph(ABC), k).circuit) == digest
 
 
+def test_path_verifier_long_fold():
+    assert sha256(path_verifier(ABC, enumerate_graph(ABC), 8).circuit) == \
+        "f8d8ae1ad6bd17eeb0a683018023afd291c999a72044ffdbd95b88c2837c8d57"
+
+
 def test_snarkized_path_verifier():
     pv = path_verifier(ABC, enumerate_graph(ABC), 3)
     assert sha256(snarkize(pv)) == \
@@ -59,6 +64,15 @@ def test_snarkized_path_verifier():
 ])
 def test_universal_verifier(k, digest):
     assert sha256(universal_verifier(1, 1, k).circuit) == digest
+
+
+# k = 3 nests one spec fan-out inside another, which k = 2 does not.
+@pytest.mark.parametrize("m, n, digest", [
+    (1, 1, "ac5bd956f802bb8680b2bf8a12ea6ff7f3bfe63cd0aab5ffae2f2b9edecd499d"),
+    (2, 2, "36e5f585ecf6cf3ca4a0cc278eea85cb102340a4f4fbdf90666de125c63f97b4"),
+])
+def test_universal_verifier_nested_fold(m, n, digest):
+    assert sha256(universal_verifier(m, n, 3).circuit) == digest
 
 
 @pytest.mark.parametrize("step, digest", [
