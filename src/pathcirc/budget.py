@@ -65,3 +65,15 @@ def check_gates(count: int, what: str, unit: str = "gates") -> None:
     if count > limit:
         raise BudgetError(f"{what} has {count} {unit}, over the gate budget {limit} "
                           f"(raise it with PATHCIRC_BUDGET=gates=N)")
+
+
+def check_width(width: int, what: str, key: str, max_width: int | None = None) -> None:
+    """Refuse `what`, an exhaustive operation over `width` inputs, if it
+    exceeds the width budget under `key` (``eval-width`` or
+    ``synth-width``). A caller's `max_width` can only lower that limit."""
+    limit = getattr(current(), _ENV_KEYS[key])
+    if width > limit:
+        raise BudgetError(f"{what} over {width} inputs exceeds the {key} budget {limit} "
+                          f"(raise it with PATHCIRC_BUDGET={key}=N)")
+    if max_width is not None and width > max_width:
+        raise BudgetError(f"{what} over {width} inputs exceeds the width limit {max_width}")

@@ -36,7 +36,7 @@ from operator import lt
 from typing import Iterator, Sequence
 
 from . import budget
-from .errors import BudgetError, ValidationError, WidthError
+from .errors import ValidationError, WidthError
 
 NAND = "NAND"
 COPY = "COPY"
@@ -305,9 +305,9 @@ class CircuitBuilder:
 
     Methods return the fresh output wire ids. Beyond the four
     primitives it offers the usual derived connectives, left-leaning
-    fan-out / AND / OR chains, and `splice`, which inlines a finished
-    circuit onto existing wires. Gates go straight into the flat arrays
-    a :class:`Circuit` keeps.
+    fan-out chains, balanced AND / OR trees, and `splice`, which
+    inlines a finished circuit onto existing wires. Gates go straight
+    into the flat arrays a :class:`Circuit` keeps.
     """
 
     def __init__(self, n_inputs: int):
@@ -380,21 +380,24 @@ class CircuitBuilder:
         per_wire = [self.fanout(w, n) for w in bus]
         return [[per_wire[j][i] for j in range(len(bus))] for i in range(n)]
 
-    def and_chain(self, wires: Sequence[int]) -> int:
+    def _tree(self, op, wires: Sequence[int], name: str) -> int:
+        """Join the wires with a binary `op`, pairing them up level by
+        level: n - 1 operations, ceil(log2 n) levels deep."""
         if not wires:
-            raise ValueError("and_chain needs at least one wire")
-        acc = wires[0]
-        for w in wires[1:]:
-            acc = self.and_(acc, w)
-        return acc
+            raise ValueError(f"{name} needs at least one wire")
+        level = list(wires)
+        while len(level) > 1:
+            odd = level[-1:] if len(level) % 2 else []
+            level = [op(a, b) for a, b in zip(level[::2], level[1::2])] + odd
+        return level[0]
+
+    def and_chain(self, wires: Sequence[int]) -> int:
+        """AND of the wires, as a balanced tree."""
+        return self._tree(self.and_, wires, "and_chain")
 
     def or_chain(self, wires: Sequence[int]) -> int:
-        if not wires:
-            raise ValueError("or_chain needs at least one wire")
-        acc = wires[0]
-        for w in wires[1:]:
-            acc = self.or_(acc, w)
-        return acc
+        """OR of the wires, as a balanced tree."""
+        return self._tree(self.or_, wires, "or_chain")
 
     def splice(self, sub: Circuit, in_wires: Sequence[int]) -> list[int]:
         """Inline `sub` with its inputs bound to `in_wires`; return its outputs."""
@@ -442,7 +445,7 @@ def xor_gate() -> Circuit:
 
 
 def nary_and(n: int) -> Circuit:
-    """n-ary AND as a left-leaning chain of binary ANDs."""
+    """n-ary AND as a balanced tree of binary ANDs."""
     if n < 1:
         raise ValueError("nary_and needs n >= 1")
     b = CircuitBuilder(n)
@@ -450,7 +453,7 @@ def nary_and(n: int) -> Circuit:
 
 
 def nary_or(n: int) -> Circuit:
-    """n-ary OR as a left-leaning chain of binary ORs."""
+    """n-ary OR as a balanced tree of binary ORs."""
     if n < 1:
         raise ValueError("nary_or needs n >= 1")
     b = CircuitBuilder(n)
@@ -529,18 +532,14 @@ def nand_depth(c: Circuit) -> int:
 def ext_equal(c1: Circuit, c2: Circuit, max_width: int | None = None) -> bool:
     """Extensional equality: same boolean function on all inputs.
 
-    Purely exhaustive; guarded by a width budget because the check is
-    2^n in the input width.
+    Purely exhaustive; guarded by the ``eval-width`` budget because the
+    check is 2^n in the input width. `max_width` can only lower that
+    limit.
     """
     if c1.n_inputs != c2.n_inputs or c1.n_outputs != c2.n_outputs:
         raise WidthError(
             f"cannot compare {c1.n_inputs}->{c1.n_outputs} "
             f"with {c2.n_inputs}->{c2.n_outputs}"
         )
-    if max_width is None:
-        max_width = budget.current().eval_width
-    if c1.n_inputs > max_width:
-        raise BudgetError(
-            f"ext_equal over {c1.n_inputs} inputs exceeds width budget {max_width}"
-        )
+    budget.check_width(c1.n_inputs, "ext_equal", "eval-width", max_width)
     return truth_columns(c1) == truth_columns(c2)

@@ -267,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="exhaustive extensional equivalence of two circuits")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--max-width", type=int, default=None)
+    p.add_argument("--max-width", type=_at_least(0), default=None,
+                   help="refuse circuits wider than this (at most the eval-width budget)")
     p.set_defaults(run=_cmd_equiv)
 
     p = sub.add_parser("stats", help="print a circuit's size, depth and Bristol gate count")

@@ -234,10 +234,8 @@ class TruthTable:
 def _endpoint_table(en: Enumeration, g: Graph, pick) -> TruthTable:
     if en.graph != g:
         raise ValidationError("enumeration was derived from a different graph")
-    limit = budget.current().synth_width
-    if en.e_bits > limit:  # the budget synth applies to these tables, before any row
-        raise BudgetError(f"a table over {en.e_bits} edge bits exceeds the width budget "
-                          f"{limit} (raise it with PATHCIRC_BUDGET=synth-width=N)")
+    # the budget synth applies to these tables, before any row
+    budget.check_width(en.e_bits, "a table", "synth-width")
     zero = BitVector.zeros(en.v_bits)
     rows = []
     for value in range(1 << en.e_bits):
@@ -381,7 +379,8 @@ def all_graphs(n: int, m: int, max_count: int | None = None) -> list[Graph]:
         max_count = budget.current().graph_count
     count = n ** (2 * m)
     if count > max_count:
-        raise BudgetError(f"{count} graphs exceed the family budget {max_count}")
+        raise BudgetError(f"{count} graphs exceed the family budget {max_count} "
+                          f"(raise it with PATHCIRC_BUDGET=graphs=N)")
     vertices = tuple(f"v{i + 1}" for i in range(n))
     out = []
     for combo in itertools.product(itertools.product(range(n), repeat=2), repeat=m):

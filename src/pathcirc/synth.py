@@ -1,18 +1,24 @@
 """Lowering truth tables and table-like functions to circuits.
 
-Tables are lowered one output bit at a time: each bit becomes a plain
-disjunctive normal form over the input bus (a minterm per 1-row, no
-minimisation), and the per-bit sub-circuits share the input through
-COPY trees. The named circuits built here -- the source/target lookups
-of a graph, the nonzero-aware MATCH comparator and the single-point
-filters -- are the building blocks of every verifier in the package.
+Tables are lowered on one row decoder that all output bits share. Only
+the rows that are 1 in some non-constant output are decoded: the input
+bus is split in halves, recursively, each half-pattern is decoded once,
+and one gate per row joins its two halves. The top level emits each
+row complemented (a single NAND of its halves), fanned out to the
+output bits it sets; an output bit is then the NAND of two balanced
+AND trees over its complemented rows, which is the OR of those rows.
+Constant output bits are single TRUE or FALSE gates. The named
+circuits built here -- the source/target lookups of a graph, the
+nonzero-aware MATCH comparator and the single-point filters -- are the
+building blocks of every verifier in the package.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import budget
 from .circuits import BitVector, Circuit, CircuitBuilder
-from .errors import BudgetError
 from .graphs import Enumeration, Graph, TruthTable, source_table, target_table
 
 __all__ = [
@@ -26,39 +32,49 @@ __all__ = [
 ]
 
 
+def _rows(b: CircuitBuilder, bus: list[int], demand: Counter, join=None) -> dict[int, list[int]]:
+    """Decode the patterns of `bus` (integers, MSB first) that `demand`
+    counts: ``demand[p]`` wires for pattern ``p``, each carrying
+    ``join`` of its halves' minterms (AND by default, so ``[bus == p]``).
+    A one-wire bus has no halves: it is its own minterm for 1, and its
+    negation for 0."""
+    if len(bus) == 1:
+        ones, zeros = demand[1], demand[0]
+        wires = b.fanout(bus[0], ones + (zeros > 0))
+        return {1: wires[:ones], 0: b.fanout(b.not_(wires[-1]), zeros) if zeros else []}
+    half = (len(bus) + 1) // 2
+    low = len(bus) - half
+    mask = (1 << low) - 1
+    his = _rows(b, bus[:half], Counter(p >> low for p in demand))
+    los = _rows(b, bus[half:], Counter(p & mask for p in demand))
+    join = join or b.and_
+    return {p: b.fanout(join(his[p >> low].pop(), los[p & mask].pop()), n)
+            for p, n in demand.items()}
+
+
 def synth(table: TruthTable, max_width: int | None = None) -> Circuit:
-    """Lower a truth table to a circuit, exactly (per-output-bit DNF)."""
-    if max_width is None:
-        max_width = budget.current().synth_width
-    if table.in_width > max_width:
-        raise BudgetError(
-            f"synthesis over {table.in_width} inputs exceeds width budget {max_width}"
-        )
-    b = CircuitBuilder(table.in_width)
-    minterms = [
-        [x for x in range(1 << table.in_width) if table.rows[x].bits[bit]]
-        for bit in range(table.out_width)
-    ]
-    live = [ms for ms in minterms if ms]
-    buses = b.fanout_bus(b.inputs(), len(live)) if live else []
+    """Lower a truth table to a circuit, exactly, on a shared row decoder."""
+    width = table.in_width
+    budget.check_width(width, "synthesis", "synth-width", max_width)
+    b = CircuitBuilder(width)
+    ones = [[x for x, row in enumerate(table.rows) if row.bits[bit]]
+            for bit in range(table.out_width)]
+    live = [xs for xs in ones if 0 < len(xs) < len(table.rows)]
+    demand = Counter(x for xs in live for x in xs)
+    # complemented rows, except on a one-wire bus, whose rows are minterms
+    rows = _rows(b, b.inputs(), demand, b.nand) if demand else {}
     outputs = []
-    next_bus = 0
-    for ms in minterms:
-        if not ms:
-            outputs.append(b.false())
-            continue
-        bus = buses[next_bus]
-        next_bus += 1
-        copies = [b.fanout(w, len(ms)) for w in bus]
-        terms = []
-        for t, x in enumerate(ms):
-            literals = [
-                copies[j][t] if (x >> (table.in_width - 1 - j)) & 1
-                else b.not_(copies[j][t])
-                for j in range(table.in_width)
-            ]
-            terms.append(b.and_chain(literals) if literals else b.true())
-        outputs.append(b.or_chain(terms))
+    for xs in ones:
+        if not xs or len(xs) == len(table.rows):
+            outputs.append(b.true() if xs else b.false())
+        elif width == 1:
+            outputs.append(rows[xs[0]].pop())
+        elif len(xs) == 1:
+            outputs.append(b.not_(rows[xs[0]].pop()))
+        else:
+            half = len(xs) // 2
+            outputs.append(b.nand(b.and_chain([rows[x].pop() for x in xs[:half]]),
+                                  b.and_chain([rows[x].pop() for x in xs[half:]])))
     return b.finish(outputs)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from random import Random
 
 import pytest
@@ -31,7 +32,7 @@ from pathcirc import (
     truth_columns,
     xor_gate,
 )
-from pathcirc.circuits import COPY, FALSE, NAND, TRUE
+from pathcirc.circuits import COPY, FALSE, NAND, TRUE, nand_depth
 
 
 class TestBitVector:
@@ -204,6 +205,34 @@ class TestExtEqual:
     def test_budget(self):
         with pytest.raises(BudgetError):
             ext_equal(identity(6), identity(6), max_width=5)
+
+    def test_budget_error_names_its_key(self, monkeypatch):
+        monkeypatch.setenv("PATHCIRC_BUDGET", "eval-width=5")
+        with pytest.raises(BudgetError, match="PATHCIRC_BUDGET=eval-width=N"):
+            ext_equal(identity(6), identity(6))
+
+    def test_max_width_only_lowers_the_budget(self, monkeypatch):
+        monkeypatch.setenv("PATHCIRC_BUDGET", "eval-width=5")
+        with pytest.raises(BudgetError, match="eval-width"):
+            ext_equal(identity(6), identity(6), max_width=40)
+        assert ext_equal(identity(5), identity(5), max_width=40)
+
+
+class TestBalancedTrees:
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_depth_is_logarithmic(self, n):
+        bound = 2 * math.ceil(math.log2(n))
+        assert nand_depth(nary_and(n)) <= bound
+        assert nand_depth(nary_or(n)) <= bound
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9])
+    def test_function_and_size(self, n):
+        full = (1 << (1 << n)) - 1
+        assert truth_columns(nary_and(n)) == [1 << full.bit_length() - 1]
+        assert truth_columns(nary_or(n)) == [full - 1]
+        # n - 1 binary ANDs of 3 gates, ORs of 5
+        assert nary_and(n).gate_count == 3 * (n - 1)
+        assert nary_or(n).gate_count == 5 * (n - 1)
 
 
 class TestColumns:

@@ -216,6 +216,20 @@ class TestEquiv:
         assert main(["equiv", "--a", str(a), "--b", str(b), "--max-width", "4"]) == 1
         assert "BudgetError" in capsys.readouterr().err
 
+    def test_max_width_cannot_raise_the_budget(self, tmp_path, capsys):
+        from pathcirc import identity
+        a = tmp_path / "a.json"
+        a.write_text(to_json(identity(22)), encoding="utf-8")
+        assert main(["equiv", "--a", str(a), "--b", str(a), "--max-width", "40"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: BudgetError: ")
+        assert "PATHCIRC_BUDGET=eval-width=N" in err
+
+    def test_negative_max_width_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["equiv", "--a", "x", "--b", "y", "--max-width", "-1"])
+        assert exit_.value.code == 2
+
 
 def compiled(tmp_path, argv) -> dict:
     out = tmp_path / "compiled.json"

@@ -40,8 +40,8 @@ def sha256(circuit) -> str:
 
 @pytest.mark.parametrize("k, digest", [
     (0, "048da66c64cd28b3671cd851807900cb5a20da5319d43f51cbf1a665d2351c8c"),
-    (1, "3d163a4e6b4eccf5cd70808358ffe7c56e8ea9eb493af5a9164b7b8cc36699ae"),
-    (3, "d4de235e064a91355ef781d9b63188c69b037d1a13228411b73fc05a761e34c5"),
+    (1, "e1b2acefdf6a7dbc97db0102869fc44dae6824582361971a0c7dc19d228ef107"),
+    (3, "a8a06da53d333aa893fd295fb2a4f424ffc26a4b4236ff0d520d55b91a4c0370"),
 ])
 def test_path_verifier(k, digest):
     assert sha256(path_verifier(ABC, enumerate_graph(ABC), k).circuit) == digest
@@ -49,18 +49,18 @@ def test_path_verifier(k, digest):
 
 def test_path_verifier_long_fold():
     assert sha256(path_verifier(ABC, enumerate_graph(ABC), 8).circuit) == \
-        "f8d8ae1ad6bd17eeb0a683018023afd291c999a72044ffdbd95b88c2837c8d57"
+        "1fe80e7bf625b1a10d68f250a35cfe291e80986b0ce6fd02199e8cf6468a312b"
 
 
 def test_snarkized_path_verifier():
     pv = path_verifier(ABC, enumerate_graph(ABC), 3)
     assert sha256(snarkize(pv)) == \
-        "fd85d32b7003bb420b891303d1e218021cd643d419b9c6853382497db42cb34d"
+        "c127620dd9c70b3d8736f59dde39244177f9d492412c51c3c810baf3a8355697"
 
 
 @pytest.mark.parametrize("k, digest", [
-    (0, "1a6e972ea09e604a78d23f1fa0a56f70aad89321e5dfeed1ac90d90d33dd078a"),
-    (2, "9de8cd51bbd3342c0bbc2396836b0bba3f91d02f4fd6687c67a52fb78b6c86ba"),
+    (0, "aaf11e596c8d7af5ae9446a574532b219546ca6cdf863d8298a7962503b66f42"),
+    (2, "a74316d18a162bbc2660343605061277ab6f0e73a5bb390952eabbd642d9e55d"),
 ])
 def test_universal_verifier(k, digest):
     assert sha256(universal_verifier(1, 1, k).circuit) == digest
@@ -68,16 +68,16 @@ def test_universal_verifier(k, digest):
 
 # k = 3 nests one spec fan-out inside another, which k = 2 does not.
 @pytest.mark.parametrize("m, n, digest", [
-    (1, 1, "ac5bd956f802bb8680b2bf8a12ea6ff7f3bfe63cd0aab5ffae2f2b9edecd499d"),
-    (2, 2, "36e5f585ecf6cf3ca4a0cc278eea85cb102340a4f4fbdf90666de125c63f97b4"),
+    (1, 1, "ccf6db335e635b55d173294871ad63f80d1d6d02d3bd60fdf9c7988d910c1f4c"),
+    (2, 2, "8fab22f60f4130f234197afa8b4301ad48cd4e6ffc401b123f43f862afdfdc75"),
 ])
 def test_universal_verifier_nested_fold(m, n, digest):
     assert sha256(universal_verifier(m, n, 3).circuit) == digest
 
 
 @pytest.mark.parametrize("step, digest", [
-    (EdgeStep(0), "cf3a561b3b9249e962347779880770cfee417c487288d4bb9e7a94438054dcb3"),
-    (IdStep(1), "307f24274bec709d4ddf1358d38cee3ddd0cd3fea99e74278e39b4a3f4e16c73"),
+    (EdgeStep(0), "56da2c2f2972eddbede40b47fb5892f20534c6158e66654a6aef0e31b7560a46"),
+    (IdStep(1), "531acc23b48f1c2b8c9cf74d614141f14977b0d08d52467e22eaa2a08256b5f3"),
 ])
 def test_edge_evaluator(step, digest):
     assert sha256(edge_evaluator(ABC, enumerate_graph(ABC), step).circuit) == digest

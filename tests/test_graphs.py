@@ -237,3 +237,8 @@ class TestAllGraphs:
     def test_budget(self):
         with pytest.raises(BudgetError):
             all_graphs(4, 4, max_count=100)
+
+    def test_budget_error_names_its_key(self, monkeypatch):
+        monkeypatch.setenv("PATHCIRC_BUDGET", "graphs=100")
+        with pytest.raises(BudgetError, match="PATHCIRC_BUDGET=graphs=N"):
+            all_graphs(4, 4)

@@ -35,17 +35,17 @@ def stats(path, capsys) -> dict:
 # as the benchmark records them.
 WORKLOADS = {
     "long-walk": (lambda: de_bruijn(3), 8, None, dict(
-        inputs=48, gates=17_531, wires=26_321, nand_gates=8_789, nand_depth=59,
-        bristol_gates=35_062,
-        gates_by_kind={"NAND": 8_789, "COPY": 8_742, "TRUE": 0, "FALSE": 0})),
+        inputs=48, gates=4_523, wires=6_809, nand_gates=2_285, nand_depth=39,
+        bristol_gates=9_046,
+        gates_by_kind={"NAND": 2_285, "COPY": 2_238, "TRUE": 0, "FALSE": 0})),
     "wide-graph": (lambda: random_multigraph(32, 64, Random(1909)), 1, None, dict(
-        inputs=19, gates=18_254, wires=27_391, nand_gates=9_136, nand_depth=137,
-        bristol_gates=36_508,
-        gates_by_kind={"NAND": 9_136, "COPY": 9_118, "TRUE": 0, "FALSE": 0})),
+        inputs=19, gates=2_730, wires=4_105, nand_gates=1_374, nand_depth=31,
+        bristol_gates=5_460,
+        gates_by_kind={"NAND": 1_374, "COPY": 1_356, "TRUE": 0, "FALSE": 0})),
     "universal": (None, 2, (2, 2), dict(
-        inputs=24, gates=12_463, wires=18_695, nand_gates=6_243, nand_depth=91,
-        bristol_gates=24_914,
-        gates_by_kind={"NAND": 6_243, "COPY": 6_208, "TRUE": 0, "FALSE": 12})),
+        inputs=24, gates=11_007, wires=16_511, nand_gates=5_515, nand_depth=33,
+        bristol_gates=22_002,
+        gates_by_kind={"NAND": 5_515, "COPY": 5_480, "TRUE": 0, "FALSE": 12})),
 }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import product
 from random import Random
 
 import pytest
@@ -24,7 +25,7 @@ from pathcirc import (
     target_table,
     truth_columns,
 )
-from pathcirc.circuits import FALSE
+from pathcirc.circuits import FALSE, TRUE, nand_depth
 
 
 def random_table(rng: Random, in_width: int, out_width: int) -> TruthTable:
@@ -42,6 +43,13 @@ def table_matches_circuit(table: TruthTable, circuit) -> bool:
         if got != table.rows[x].bits:
             return False
     return True
+
+
+def table_columns(table: TruthTable) -> list[int]:
+    """The table's output bits as truth_columns lays them out: bit x of
+    column j is output j on input x."""
+    return [int("".join(str(row.bits[j]) for row in reversed(table.rows)), 2)
+            for j in range(table.out_width)]
 
 
 class TestSynth:
@@ -81,6 +89,76 @@ class TestSynth:
         table = TruthTable(2, 1, tuple(bv("1") for _ in range(4)))
         with pytest.raises(BudgetError):
             synth(table, max_width=1)
+
+    def test_budget_error_names_its_key(self, monkeypatch):
+        monkeypatch.setenv("PATHCIRC_BUDGET", "synth-width=2")
+        table = TruthTable(3, 1, tuple(bv("1") for _ in range(8)))
+        with pytest.raises(BudgetError, match="PATHCIRC_BUDGET=synth-width=N"):
+            synth(table)
+
+    def test_max_width_only_lowers_the_budget(self, monkeypatch):
+        monkeypatch.setenv("PATHCIRC_BUDGET", "synth-width=2")
+        table = TruthTable(3, 1, tuple(bv("1") for _ in range(8)))
+        with pytest.raises(BudgetError, match="synth-width"):
+            synth(table, max_width=16)
+
+
+def tables(in_width: int, out_width: int):
+    """Every table of the given widths."""
+    for values in product(range(1 << out_width), repeat=1 << in_width):
+        yield TruthTable(in_width, out_width,
+                         tuple(BitVector.from_int(v, out_width) for v in values))
+
+
+class TestDecoder:
+    def test_every_table_with_no_input(self):
+        for table in tables(0, 3):
+            c = synth(table)
+            assert table_matches_circuit(table, c)
+            assert {g.kind for g in c.gates} <= {TRUE, FALSE}
+
+    def test_every_table_with_one_input(self):
+        for table in tables(1, 2):
+            c = synth(table)
+            assert table_matches_circuit(table, c)
+            # a bit is a constant, the input, or its one negation
+            assert nand_depth(c) <= 1
+
+    def test_single_nonzero_row(self):
+        rows = [BitVector.zeros(3)] * 32
+        rows[19] = bv("101")
+        table = TruthTable(5, 3, tuple(rows))
+        assert table_matches_circuit(table, synth(table))
+
+    def test_table_of_all_ones(self):
+        table = TruthTable(4, 3, tuple(bv("111") for _ in range(16)))
+        c = synth(table)
+        assert table_matches_circuit(table, c)
+        assert all(g.kind == TRUE for g in c.gates)
+
+    def test_exact_on_a_dense_table_at_width_12(self):
+        table = random_table(Random(12), 12, 4)
+        assert truth_columns(synth(table)) == table_columns(table)
+
+    def test_exact_on_a_sparse_table_at_the_width_budget(self):
+        # 300 random rows of 65,536 are nonzero, as in a graph's tables
+        rng = Random(16)
+        rows = [BitVector.zeros(3)] * (1 << 16)
+        for x in rng.sample(range(1 << 16), 300):
+            rows[x] = BitVector.from_int(rng.randrange(1, 8), 3)
+        table = TruthTable(16, 3, tuple(rows))
+        assert truth_columns(synth(table)) == table_columns(table)
+
+    def test_small_graph_family_size(self):
+        # the per-output-bit DNF took 215,750 gates on these 1,818 tables
+        total = 0
+        for n in (1, 2, 3):
+            for m in (0, 1, 2, 3):
+                for g in all_graphs(n, m):
+                    en = enumerate_graph(g)
+                    total += synth(source_table(en, g)).gate_count
+                    total += synth(target_table(en, g)).gate_count
+        assert total <= 84_022
 
 
 MATCH2_ROWS = [

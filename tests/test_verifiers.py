@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 from random import Random
 
 import pytest
@@ -183,6 +184,17 @@ class TestPathVerifier:
                         assert flag == int(valid)
                         if valid:
                             assert out == end
+
+    def test_large_graph_under_the_default_budget(self):
+        # a 200-cycle plus 300 seeded chords; the per-output-bit DNF
+        # lowering put this verifier at 4.3 million gates
+        rng = Random(200)
+        vertices = [f"v{i}" for i in range(200)]
+        edges = [[f"c{i}", vertices[i], vertices[(i + 1) % 200]] for i in range(200)]
+        edges += [[f"h{j}", rng.choice(vertices), rng.choice(vertices)] for j in range(300)]
+        g = parse_graph(json.dumps({"vertices": vertices, "edges": edges}))
+        snark = snarkize(path_verifier(g, enumerate_graph(g), 16))
+        assert snark.gate_count < 1 << 20
 
 
 class TestPadPath:
