@@ -52,6 +52,27 @@ def _rows(b: CircuitBuilder, bus: list[int], demand: Counter, join=None) -> dict
             for p, n in demand.items()}
 
 
+def _nand_all(b: CircuitBuilder, wires: list[int]) -> int:
+    """NOT of the AND of the wires: the NAND of two balanced AND trees,
+    which is the OR of the wires' complements."""
+    if len(wires) == 1:
+        return b.not_(wires[0])
+    half = len(wires) // 2
+    return b.nand(b.and_chain(wires[:half]), b.and_chain(wires[half:]))
+
+
+def _rows_gates(width: int, top: int, wires: int) -> int:
+    """Gates :func:`_rows` emits on a `width`-wire bus, with its default
+    AND join, when `demand` asks for each pattern 0..top and for
+    `wires` wires in all."""
+    if width == 1:
+        return wires + 1  # the wire's fan-out, and one negation
+    high = (width + 1) // 2
+    low = width - high
+    return (wires + 2 * (top + 1) + _rows_gates(high, top >> low, top + 1)
+            + _rows_gates(low, min(top, (1 << low) - 1), top + 1))
+
+
 def synth(table: TruthTable, max_width: int | None = None) -> Circuit:
     """Lower a truth table to a circuit, exactly, on a shared row decoder."""
     width = table.in_width
@@ -69,12 +90,8 @@ def synth(table: TruthTable, max_width: int | None = None) -> Circuit:
             outputs.append(b.true() if xs else b.false())
         elif width == 1:
             outputs.append(rows[xs[0]].pop())
-        elif len(xs) == 1:
-            outputs.append(b.not_(rows[xs[0]].pop()))
         else:
-            half = len(xs) // 2
-            outputs.append(b.nand(b.and_chain([rows[x].pop() for x in xs[:half]]),
-                                  b.and_chain([rows[x].pop() for x in xs[half:]])))
+            outputs.append(_nand_all(b, [rows[x].pop() for x in xs]))
     return b.finish(outputs)
 
 

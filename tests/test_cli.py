@@ -261,7 +261,7 @@ class TestNumbersAtTheBoundary:
                      "--length", "1"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "BudgetError" in err and "PATHCIRC_BUDGET=graphs=" in err
+        assert "BudgetError" in err and "PATHCIRC_BUDGET=gates=" in err
 
     def test_zero_edges_is_a_capacity(self, capsys):
         assert main(["compile-universal", "--max-vertices", "1", "--max-edges", "0",

@@ -59,8 +59,8 @@ def test_snarkized_path_verifier():
 
 
 @pytest.mark.parametrize("k, digest", [
-    (0, "aaf11e596c8d7af5ae9446a574532b219546ca6cdf863d8298a7962503b66f42"),
-    (2, "a74316d18a162bbc2660343605061277ab6f0e73a5bb390952eabbd642d9e55d"),
+    (0, "5765bd99e36deeca9b7b80c18fdf9fa8e846714b91467b3280aca05873d7d7be"),
+    (2, "9723f08e9e291615bde032b82517d46bae592acb88d69b732a615fe7e496b166"),
 ])
 def test_universal_verifier(k, digest):
     assert sha256(universal_verifier(1, 1, k).circuit) == digest
@@ -68,8 +68,8 @@ def test_universal_verifier(k, digest):
 
 # k = 3 nests one spec fan-out inside another, which k = 2 does not.
 @pytest.mark.parametrize("m, n, digest", [
-    (1, 1, "ccf6db335e635b55d173294871ad63f80d1d6d02d3bd60fdf9c7988d910c1f4c"),
-    (2, 2, "8fab22f60f4130f234197afa8b4301ad48cd4e6ffc401b123f43f862afdfdc75"),
+    (1, 1, "743b7dcc421c9fb86b88e206e495f3d5c9204ae95f79da460fa6de42ccafb647"),
+    (2, 2, "712f06acbc817b616a502ff67f2c677167e9a6fec010e3969d5067ec7c22b3e8"),
 ])
 def test_universal_verifier_nested_fold(m, n, digest):
     assert sha256(universal_verifier(m, n, 3).circuit) == digest

@@ -43,9 +43,9 @@ WORKLOADS = {
         bristol_gates=5_460,
         gates_by_kind={"NAND": 1_374, "COPY": 1_356, "TRUE": 0, "FALSE": 0})),
     "universal": (None, 2, (2, 2), dict(
-        inputs=24, gates=11_007, wires=16_511, nand_gates=5_515, nand_depth=33,
-        bristol_gates=22_002,
-        gates_by_kind={"NAND": 5_515, "COPY": 5_480, "TRUE": 0, "FALSE": 12})),
+        inputs=24, gates=1_359, wires=2_051, nand_gates=691, nand_depth=31,
+        bristol_gates=2_718,
+        gates_by_kind={"NAND": 691, "COPY": 668, "TRUE": 0, "FALSE": 0})),
 }
 
 

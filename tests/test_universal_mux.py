@@ -1,0 +1,191 @@
+"""The universal lookups as a multiplexer over the spec bus, against the
+per-graph dispatch they replace (``universal_ref``), the fixed-graph
+verifiers and the oracle; their exact gate counts; their reach."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+from random import Random
+
+import pytest
+
+import universal_ref
+from pathcirc import (
+    BitVector,
+    BudgetError,
+    capacity_enumeration,
+    encode_graph,
+    encoding_width,
+    ext_equal,
+    path_verifier,
+    source_table,
+    target_table,
+    truth_columns,
+    universal_source,
+    universal_step,
+    universal_target,
+    universal_verifier,
+    valid_graphs,
+    zkp_snarkize,
+)
+from pathcirc.circuits import CircuitBuilder
+from pathcirc.graphs import edge_width, vertex_width
+from pathcirc.synth import _rows, _rows_gates
+from pathcirc.universal import step_gates
+from pathcirc.verifiers import empty_walk
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def pinned(width: int, spec: BitVector) -> dict[int, int]:
+    """Pins of a circuit whose first `width` inputs are state, then the spec."""
+    return {width + i: bit for i, bit in enumerate(spec.bits)}
+
+
+def columns(table) -> list[int]:
+    """A table's output columns, in the bit order of ``truth_columns``."""
+    return [sum(row.bits[j] << x for x, row in enumerate(table.rows))
+            for j in range(table.out_width)]
+
+
+def assigned_columns(en) -> int:
+    return sum(1 << (i + 1) for i in range(en.n_vertices))
+
+
+def k0_check(m: int, n: int):
+    """The reference k = 0 verifier: the empty-walk check around the dispatch."""
+    return empty_walk(vertex_width(n), encoding_width(m, n), universal_ref.assigned(m, n))
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 2)])
+def test_equal_to_the_dispatch_on_every_input(m, n):
+    assert ext_equal(universal_source(m, n), universal_ref.source(m, n))
+    assert ext_equal(universal_target(m, n), universal_ref.target(m, n))
+    assert ext_equal(universal_verifier(m, n, 0).circuit, k0_check(m, n).circuit)
+
+
+@pytest.mark.parametrize("m, n", [(3, 2), (2, 3)])
+def test_every_valid_spec_and_code(m, n):
+    lookups = universal_source(m, n), universal_target(m, n)
+    k0 = universal_verifier(m, n, 0)
+    for g in valid_graphs(m, n):
+        en = capacity_enumeration(g, m, n)
+        spec = encode_graph(g, m, n).bits
+        for lookup, table in zip(lookups, (source_table(en, g), target_table(en, g))):
+            assert truth_columns(lookup, pinned(0, spec)) == columns(table)
+        assert truth_columns(k0.circuit, pinned(k0.in_width, spec))[0] == assigned_columns(en)
+
+
+def invalid_specs(m: int, n: int, count: int, rng: Random) -> list[BitVector]:
+    """Seeded specs that encode no graph: half uniformly random, half a
+    valid encoding with one table cell overwritten."""
+    valid = {encode_graph(g, m, n).bits for g in valid_graphs(m, n)}
+    graphs = valid_graphs(m, n)
+    width, v_bits = encoding_width(m, n), vertex_width(n)
+    specs = []
+    while len(specs) < count:
+        if len(specs) % 2:
+            bits = list(encode_graph(rng.choice(graphs), m, n).bits.bits)
+            cell = rng.randrange(width // v_bits) * v_bits
+            bits[cell:cell + v_bits] = BitVector.from_int(rng.randrange(1 << v_bits), v_bits).bits
+            spec = BitVector(tuple(bits))
+        else:
+            spec = BitVector.from_int(rng.randrange(1 << width), width)
+        if spec not in valid:
+            specs.append(spec)
+    return specs
+
+
+def test_invalid_specs_give_zeros():
+    m, n = 3, 2
+    lookups = universal_source(m, n), universal_target(m, n)
+    k0 = universal_verifier(m, n, 0)
+    for spec in invalid_specs(m, n, 200, Random(6)):
+        for lookup in lookups:
+            assert truth_columns(lookup, pinned(0, spec)) == [0] * vertex_width(n)
+        assert truth_columns(k0.circuit, pinned(k0.in_width, spec))[0] == 0
+
+
+def test_pinned_verifier_is_the_fixed_graph_verifier():
+    m, n = 3, 2
+    uv = universal_verifier(m, n, 1)
+    graphs = valid_graphs(m, n)
+    assert len(graphs) == 89
+    for g in graphs:
+        pv = path_verifier(g, capacity_enumeration(g, m, n), 1)
+        assert truth_columns(uv.circuit, pinned(uv.in_width, encode_graph(g, m, n).bits)) == \
+            truth_columns(pv.circuit)
+
+
+@pytest.mark.parametrize("width", range(1, 6))
+def test_rows_gates_counts_the_decoder(width):
+    rng = Random(width)
+    for top in range(1 << width):
+        demand = Counter({p: rng.randrange(1, 4) for p in range(top + 1)})
+        b = CircuitBuilder(width)
+        _rows(b, b.inputs(), demand)
+        assert b.gate_count == _rows_gates(width, top, sum(demand.values()))
+
+
+@pytest.mark.parametrize("m", range(6))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_step_gates_is_exact(m, n):
+    assert step_gates(m, n) == universal_step(m, n).circuit.gate_count
+
+
+@pytest.mark.parametrize("m, n", [(1000, 1000), (10 ** 30, 1), (0, 1 << 40)])
+def test_huge_capacities_are_refused_before_any_gate(m, n):
+    with pytest.raises(BudgetError, match="PATHCIRC_BUDGET=gates=N"):
+        universal_verifier(m, n, 1)
+    with pytest.raises(BudgetError, match="PATHCIRC_BUDGET=gates=N"):
+        universal_verifier(m, n, 0)
+
+
+def test_step_over_a_lowered_budget_is_refused_with_its_size(monkeypatch):
+    monkeypatch.setenv("PATHCIRC_BUDGET", f"gates={step_gates(2, 2) - 1}")
+    with pytest.raises(BudgetError, match=f"has {step_gates(2, 2)} gates"):
+        universal_step(2, 2)
+    monkeypatch.setenv("PATHCIRC_BUDGET", f"gates={step_gates(2, 2)}")
+    assert universal_step(2, 2).circuit.gate_count == step_gates(2, 2)
+
+
+def reads(circuit) -> Counter:
+    return Counter(circuit.ins) + Counter(circuit.output_map)
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 2), (3, 2)])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_every_wire_is_read_once(m, n, k):
+    uv = universal_verifier(m, n, k)
+    for c in (uv.circuit, zkp_snarkize(uv)):
+        assert reads(c) == Counter(range(c.wire_count))
+
+
+def test_large_capacity_fits_the_default_budget():
+    uv = universal_verifier(8, 8, 16)
+    assert zkp_snarkize(uv).n_outputs == 1
+    assert uv.spec_width == encoding_width(8, 8) and uv.witness_width == 16 * edge_width(8, 8)
+
+
+# A child's peak RSS counts its parent's at the fork, so a small launcher
+# process runs the CLI and reports the peak RSS of that grandchild.
+LAUNCHER = ("import resource, subprocess, sys\n"
+            "cli = [sys.executable, '-m', 'pathcirc.cli'] + sys.argv[1:]\n"
+            "rc = subprocess.run(cli).returncode\n"
+            "print(rc, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+
+
+def test_compile_universal_at_four_edges_and_three_vertices(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("PATHCIRC_BUDGET", None)
+    argv = ["compile-universal", "--max-edges", "4", "--max-vertices", "3", "--length", "1",
+            "--out", str(tmp_path / "uv.json")]
+    done = subprocess.run([sys.executable, "-c", LAUNCHER, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    rc, peak_kb = map(int, done.stdout.split())
+    assert rc == 0
+    assert peak_kb < 100 * 1024
