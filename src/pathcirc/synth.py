@@ -61,16 +61,24 @@ def _nand_all(b: CircuitBuilder, wires: list[int]) -> int:
     return b.nand(b.and_chain(wires[:half]), b.and_chain(wires[half:]))
 
 
-def _rows_gates(width: int, top: int, wires: int) -> int:
+def _halves(patterns, low: int) -> tuple:
+    """The high and the low `low`-bit halves of a set of patterns. Those
+    of a range from 0 are ranges from 0, found without a pass over it."""
+    mask = (1 << low) - 1
+    if isinstance(patterns, range) and patterns.start == 0:
+        return range((patterns[-1] >> low) + 1), range(min(patterns[-1], mask) + 1)
+    return {p >> low for p in patterns}, {p & mask for p in patterns}
+
+
+def _rows_gates(width: int, patterns, wires: int) -> int:
     """Gates :func:`_rows` emits on a `width`-wire bus, with its default
-    AND join, when `demand` asks for each pattern 0..top and for
-    `wires` wires in all."""
-    if width == 1:
-        return wires + 1  # the wire's fan-out, and one negation
-    high = (width + 1) // 2
-    low = width - high
-    return (wires + 2 * (top + 1) + _rows_gates(high, top >> low, top + 1)
-            + _rows_gates(low, min(top, (1 << low) - 1), top + 1))
+    AND join, when `demand` asks for the given set of patterns (or range
+    of them) and for `wires` wires in all."""
+    if width == 1:  # the wire's fan-out, and a negation for pattern 0
+        return wires + 1 if 0 in patterns else wires - 1
+    high, low = _halves(patterns, width // 2)
+    return (wires + 2 * len(patterns) + _rows_gates(width - width // 2, high, len(patterns))
+            + _rows_gates(width // 2, low, len(patterns)))
 
 
 def synth(table: TruthTable, max_width: int | None = None) -> Circuit:
@@ -121,20 +129,13 @@ def filter_circuit(point: BitVector) -> Circuit:
 
 
 def assigned_vertex_circuit(en: Enumeration) -> Circuit:
-    """Indicator of the assigned vertex codes: one filter per vertex, ORed.
+    """Indicator of the assigned vertex codes 1..|V|, lowered as a table.
 
     Rejects the reserved all-zero code and any spare code beyond the
     graph's vertices; constantly 0 for a graph with no vertices.
     """
-    b = CircuitBuilder(en.v_bits)
-    if en.n_vertices == 0:
-        return b.finish([b.false()])
-    buses = b.fanout_bus(b.inputs(), en.n_vertices)
-    fired = [
-        b.splice(filter_circuit(en.vertex_code(i)), buses[i])[0]
-        for i in range(en.n_vertices)
-    ]
-    return b.finish([b.or_chain(fired)])
+    rows = [BitVector((int(1 <= x <= en.n_vertices),)) for x in range(1 << en.v_bits)]
+    return synth(TruthTable(en.v_bits, 1, rows))
 
 
 def source_circuit(g: Graph, en: Enumeration) -> Circuit:

@@ -10,9 +10,16 @@ of (select AND spec bit). Only the first n + m rows are read, because a
 valid spec leaves the others zero. The result is ANDed with a
 structural validity check of the spec (:func:`_spec_valid`), so a spec
 that encodes no graph within capacity yields all zeros, which the
-MATCH stage rejects. The k = 0 assigned-vertex check is a multiplexer
-too: a state s is assigned iff the spec is valid and row s - 1 of its
-source table (the identity step of vertex s) holds s. The verifiers
+MATCH stage rejects. The check decodes each table cell once and flags
+row r as an identity row (both cells hold r + 1), a zero row or an
+edge row (both hold codes in 1..min(n, r)). Local rules decide: row 0
+is an identity row and every other row one of the three; identity rows
+come only after identity rows, zero rows only before zero rows; a
+nonzero row r > m has an identity row at r - m, so at most m edge rows
+follow the identity rows; an edge code x needs row x - 1 to be an
+identity row; and the rows from n + m on are zero. The k = 0
+assigned-vertex check is a multiplexer too: a state s is assigned iff
+the spec is valid and row s - 1 is an identity row. The verifiers
 built here are the :class:`~pathcirc.verifiers.Verifier` shape with
 the encoding on the spec bus; a fixed-graph verifier is the same shape
 with an empty one.
@@ -40,7 +47,7 @@ from .graphs import (
     target_table,
     vertex_width,
 )
-from .synth import _nand_all, _rows, _rows_gates, filter_circuit, match_circuit
+from .synth import _nand_all, _rows, _rows_gates
 from .verifiers import (Verifier, assemble_step, compose, empty_walk, fold, snarkize,
                         verifier_identity)
 
@@ -121,115 +128,104 @@ def valid_graphs(m: int, n: int, max_count: int | None = None) -> list[Graph]:
     return out
 
 
-def _row_checks(r: int, m: int, n: int) -> tuple[bool, bool, range]:
-    """What row r of a spec at capacity (m, n) can hold, in the graphs
-    of some case (nv, ne): an identity step (r < n), nothing (r > 0),
-    or an edge of a graph on nv vertices, for each nv returned."""
-    return r < n, r > 0, range(max(1, r - m + 1), min(n, r) + 1) if r < n + m else range(0)
-
-
-def _cell_checks(b: CircuitBuilder, bits: list[int], r: int, m: int, n: int,
-                 step: BitVector) -> list[int]:
-    """Checks of one table cell of row r, in the order of :func:`_row_checks`:
-    it holds `step`, the code of the identity step r (a single-point
-    filter), it holds 0, and it holds a code in 1..nv for each edge
-    case nv (all off one decoder)."""
-    identity, zero, edges = _row_checks(r, m, n)
-    decoded = bits
-    if identity and zero:
-        bits, decoded = b.fanout_bus(bits, 2)
-    out = b.splice(filter_circuit(step), bits) if identity else []
-    if zero:
-        demand = Counter([0])
-        for nv in edges:
-            demand.update(range(1, nv + 1))
-        hit = _rows(b, decoded, demand)
-        out.append(hit[0].pop())
-        out += [b.or_chain([hit[v].pop() for v in range(1, nv + 1)]) for nv in edges]
-    return out
+def _row(r: int, m: int, n: int) -> tuple[range, range, list[list[tuple[str, int]]]]:
+    """Row r of a spec at capacity (m, n): the codes an edge row there
+    holds, those of them whose identity row the rule does not already
+    imply, and the rule, an OR of ANDs of row flags."""
+    used = n + m
+    edges = range(1, min(n, r) + 1) if m and r < used else range(0)
+    checked = edges[max(1, r - m + 1):]
+    if r == 0 or r >= used:
+        return edges, checked, [[("zero", r) if r else ("id", 0)]]
+    rule = [[("zero", r)] + [("zero", r + 1)] * (m > 1 and r + 1 < used)]
+    if r < n:
+        rule.insert(0, [("id", r)] + [("id", r - 1)] * (r > 1))
+    if edges:
+        rule.append([("edge", r)] + [("id", r - m)] * (r > m))
+    return edges, checked, rule
 
 
 def _spec_valid(b: CircuitBuilder, spec: list[int], m: int, n: int,
                 identities: bool = False) -> tuple[int, list[int]]:
     """Flag whether `spec` is the encoding of a graph at capacity (m, n).
 
-    It is iff, for some nv in 1..n and ne in 0..m, rows 0..nv - 1 of
-    both tables hold codes 1..nv (the identity steps, read off the
-    encoding of the edgeless graph on n vertices), rows nv..nv+ne-1
-    hold codes in 1..nv (the edges), and every other row is zero. Each
-    cell is checked once, and each row check is the AND of its two
-    cells' checks. Row 0 is an identity and the rows from n + m on are
-    zero in every case, so they are ANDed in once; the checks of the
-    rows between are fanned out to the (nv, ne) cases that use them,
-    each case is the AND of its checks, and the cases are ORed.
-
-    With `identities`, also return, for each r < n, a copy of the
-    source table's check that row r holds r + 1.
+    Each table cell is decoded once, and the flags of row r say whether
+    it is an identity row (both cells hold r + 1, read off the encoding
+    of the edgeless graph on n vertices), a zero row, or an edge row
+    (both cells hold codes in 1..min(n, r)). The spec is valid iff every
+    row's rule holds (see :func:`_row`) and row x - 1 is an identity row
+    for each code x an edge row holds where no rule implies it: checked
+    once per x, over the OR of those cells. With `identities`, also
+    return a copy of the identity flag of each row r < n.
     """
     v_bits, rows = vertex_width(n), 1 << edge_width(m, n)
-    used = n + m
-    cases = [[("id", r) if r < nv else ("edge", r, nv) if r < nv + ne else ("zero", r)
-              for r in range(1, used)]
-             for nv in range(1, n + 1) for ne in range(m + 1)]
-    common = [("id", 0)] + [("zero", r) for r in range(used, rows)]
-    uses = Counter(common)
-    for case in cases:
-        uses.update(case)
-    # the edgeless graph on n vertices holds the identity steps in its first n rows
+    # the edgeless graph on n vertices holds the identity codes in its first n rows
     (edgeless,) = all_graphs(n, 0)
     steps = encode_graph(edgeless, m, n).bits.bits
-    checks, ids = {}, []
+    flags, coded, rules = {}, {}, []
     for r in range(rows):
-        identity, zero, edges = _row_checks(r, m, n)
-        keys = [("id", r)] * identity + [("zero", r)] * zero + [("edge", r, nv) for nv in edges]
+        edges, checked, rule = _row(r, m, n)
         cells = [slice((t * rows + r) * v_bits, (t * rows + r + 1) * v_bits) for t in (0, 1)]
-        source, target = (_cell_checks(b, spec[cell], r, m, n, BitVector(steps[cell]))
-                          for cell in cells)
-        if identities and identity:
-            source[0], copy = b.fanout(source[0], 2)
-            ids.append(copy)
-        for key, s, t in zip(keys, source, target):
-            checks[key] = b.fanout(b.and_(s, t), uses[key])
-    terms = [checks[key].pop() for key in common]
-    if used > 1:
-        terms.append(b.or_chain([b.and_chain([checks[key].pop() for key in case])
-                                 for case in cases]))
-    return b.and_chain(terms), ids
+        step = BitVector(steps[cells[0]]).value
+        demand = Counter(edges) + Counter(checked) + Counter([step] * (step > 0) + [0] * (r > 0))
+        source, target = (_rows(b, spec[cell], demand) for cell in cells)
+        if step:
+            flags["id", r] = b.and_(source[step].pop(), target[step].pop())
+        if r:
+            flags["zero", r] = b.and_(source[0].pop(), target[0].pop())
+        if edges:
+            flags["edge", r] = b.and_(*(b.or_chain([cell[x].pop() for x in edges])
+                                        for cell in (source, target)))
+        for x in checked:
+            coded.setdefault(x, []).extend([source[x].pop(), target[x].pop()])
+        rules.append(rule)
+    uses = Counter(key for rule in rules for product in rule for key in product)
+    uses.update(("id", x - 1) for x in coded)
+    uses.update(("id", r) for r in range(n) if identities)
+    wires = {key: b.fanout(w, uses[key]) for key, w in flags.items()}
+    terms = []
+    for rule in rules:  # a rule is one flag, or an OR of ANDs
+        products = [[wires[key].pop() for key in product] for product in rule]
+        terms.append(products[0][0] if len(rule) == 1 else
+                     _nand_all(b, [_nand_all(b, product) for product in products]))
+    for x, cells in coded.items():
+        terms.append(b.nand(b.or_chain(cells), b.not_(wires["id", x - 1].pop())))
+    return b.and_chain(terms), [wires["id", r].pop() for r in range(n) if identities]
+
+
+def _nand_all_gates(wires: int) -> int:
+    """Gates of :func:`synth._nand_all` over `wires` wires."""
+    return 2 if wires == 1 else 3 * wires - 5
 
 
 def _valid_gates(m: int, n: int) -> int:
-    """Gates of :func:`_spec_valid` at capacity (m, n), without `identities`."""
+    """Gates of :func:`_spec_valid` at capacity (m, n), without
+    `identities`: a sum over the rows."""
     v_bits, rows = vertex_width(n), 1 << edge_width(m, n)
-    used, cases = n + m, n * (m + 1)
-    common = 1 + rows - used
-    gates = keys = 0
+    codes = n - 1 if m > 1 else 0
+    # the AND of all checks; a code check is 5 gates per cell it ORs, less one
+    gates = 3 * (rows + codes - 1) - codes
     for r in range(rows):
-        identity, zero, edges = _row_checks(r, m, n)
-        cell = 0
-        if identity:  # the filter: a NOT per 0 bit, an AND tree
-            cell += 3 * (v_bits - 1) + 2 * (v_bits - (r + 1).bit_count())
-        if zero:  # the decoder, and an OR over 1..nv per edge case
-            ones = (edges.start + edges.stop - 1) * len(edges) // 2  # edge case nv reads 1..nv
-            top = edges[-1] if edges else 0
-            cell += _rows_gates(v_bits, top, 1 + ones) + 5 * (ones - len(edges))
-        if identity and zero:  # the cell's copy for each
-            cell += v_bits
-        row_keys = identity + zero + len(edges)
-        gates += 2 * cell + 3 * row_keys
-        keys += row_keys
-    uses = common + cases * (used - 1)
-    gates += uses - keys  # the row checks' fan-out
-    if used > 1:
-        gates += cases * 3 * (used - 2) + 5 * (cases - 1)  # the cases' ANDs and their OR
-    return gates + 3 * (common + (used > 1) - 1)
+        edges, checked, rule = _row(r, m, n)
+        # an identity row's code r + 1 follows the codes 0..r, unless no edge row can be here
+        patterns = (range(min(n, r + 1) + 1) if edges else
+                    {code for code, kind in ((r + 1, r < n), (0, r > 0)) if kind})
+        flags = (r < n) + (r > 0)  # and the edge flag, of 10 gates per code less 7
+        gates += (2 * _rows_gates(v_bits, patterns, len(patterns) + len(checked))
+                  + 3 * flags + (10 * len(edges) - 7 if edges else 0)
+                  + sum(map(len, rule)) - flags - bool(edges)  # the flags' fan-out
+                  + 10 * len(checked))
+        if len(rule) > 1:
+            gates += _nand_all_gates(len(rule)) + sum(_nand_all_gates(len(p)) for p in rule)
+    return gates
 
 
 def _lookup_gates(m: int, n: int) -> int:
     """Gates of a universal source or target lookup at capacity (m, n)."""
     v_bits, e_bits, used = vertex_width(n), edge_width(m, n), n + m
     return (_valid_gates(m, n) + used * v_bits  # the looked-up rows' copies
-            + _rows_gates(e_bits, used - 1, used * v_bits)  # a select per row and bit
-            + v_bits * (used + (2 if used == 1 else 3 * used - 5))  # the OR of selected bits
+            + _rows_gates(e_bits, range(used), used * v_bits)  # a select per row and bit
+            + v_bits * (used + _nand_all_gates(used))  # the OR of selected bits
             + (v_bits - 1) + 3 * v_bits)  # the valid flag ANDed into each bit
 
 
@@ -237,7 +233,7 @@ def step_gates(m: int, n: int) -> int:
     """Exact gate count of ``universal_step(m, n)``, computed in time
     linear in the number of table rows, without building it."""
     return (2 * _lookup_gates(m, n) + encoding_width(m, n) + edge_width(m, n)
-            + match_circuit(vertex_width(n)).gate_count)
+            + 18 * vertex_width(n) - 5)  # MATCH: a COPY and an XNOR (9) per bit, two trees, an AND
 
 
 def _refuse_over_budget(m: int, n: int, what: str, gates) -> None:
@@ -296,8 +292,8 @@ def universal_step(m: int, n: int) -> Verifier:
 
 def _assigned(m: int, n: int) -> Circuit:
     """(encoding ++ vertex code) -> whether the code is a vertex of the
-    encoded graph: the spec is valid and its source table maps the
-    identity step of vertex s, row s - 1, to s."""
+    encoded graph: the spec is valid and row s - 1, the identity step of
+    vertex s, is an identity row."""
     _refuse_over_budget(m, n, "the spec validity check", _valid_gates)
     f_bits = encoding_width(m, n)
     b = CircuitBuilder(f_bits + vertex_width(n))

@@ -71,23 +71,37 @@ def compose(f: Verifier, g: Verifier) -> Verifier:
     """Chain two verifiers: state flows f then g, flags are ANDed.
 
     Both halves read the one spec bus, duplicated with COPY. The witness
-    of the composite is f's witness block followed by g's.
+    of the composite is f's witness block followed by g's. This is the
+    two-verifier case of :func:`_chain`.
     """
-    if f.out_width != g.in_width:
-        raise WidthError(
-            f"cannot chain verifiers: {f.out_width} state out vs {g.in_width} in"
-        )
-    if f.spec_width != g.spec_width:
-        raise WidthError(f"spec widths differ: {f.spec_width} vs {g.spec_width}")
-    n, k = f.in_width, f.spec_width
-    b = CircuitBuilder(n + k + f.witness_width + g.witness_width)
+    return _chain([f, g])
+
+
+def _chain(parts: list[Verifier]) -> Verifier:
+    """The left-associated composite of one or more verifiers, in one
+    builder, in the order the left fold ``compose(...compose(f, g)...,
+    h)`` emits it: first the nested spec fan-outs, outermost first, then
+    part i on the i-th spec copy, each part's flag ANDed after it."""
+    for f, g in zip(parts, parts[1:]):
+        if f.out_width != g.in_width:
+            raise WidthError(
+                f"cannot chain verifiers: {f.out_width} state out vs {g.in_width} in"
+            )
+        if f.spec_width != g.spec_width:
+            raise WidthError(f"spec widths differ: {f.spec_width} vs {g.spec_width}")
+    n, s = parts[0].in_width, parts[0].spec_width
+    b = CircuitBuilder(n + s + sum(part.witness_width for part in parts))
     wires = b.inputs()
-    spec_f, spec_g = b.fanout_bus(wires[n:n + k], 2)
-    witness = wires[n + k:]
-    out_f = b.splice(f.circuit, wires[:n] + spec_f + witness[:f.witness_width])
-    out_g = b.splice(g.circuit, out_f[1:] + spec_g + witness[f.witness_width:])
-    flag = b.and_(out_f[0], out_g[0])
-    return Verifier(n, k, len(witness), g.out_width, b.finish([flag] + out_g[1:]))
+    spec, later = wires[n:n + s], []  # later: the spec copies of the last part, ..., the second
+    for _ in parts[1:]:
+        spec, last = b.fanout_bus(spec, 2)
+        later.append(last)
+    state, flag, at = wires[:n], None, n + s
+    for part, spec in zip(parts, [spec] + later[::-1]):
+        witness, at = wires[at:at + part.witness_width], at + part.witness_width
+        part_flag, *state = b.splice(part.circuit, state + spec + witness)
+        flag = part_flag if flag is None else b.and_(flag, part_flag)
+    return Verifier(n, s, at - n - s, parts[-1].out_width, b.finish([flag] + state))
 
 
 def assemble_step(v_bits: int, spec_bits: int, e_bits: int,
@@ -110,34 +124,18 @@ def assemble_step(v_bits: int, spec_bits: int, e_bits: int,
 
 
 def fold(step: Verifier, k: int) -> Verifier:
-    """The left-associated k-fold composite of a step checker, k >= 1.
+    """The left-associated k-fold composite of a step checker, k >= 1
+    (see :func:`_chain`).
 
     Each composition adds the spec fan-out and one AND (3 gates) to the
     two halves, so the gate count is known exactly in advance, and a
     fold over the gate budget is refused before any gate is emitted.
-
-    The k steps are spliced into one builder, in the order the left fold
-    ``compose(...compose(step, step)..., step)`` emits them: first the
-    k - 1 nested spec fan-outs, outermost first, then step i on the i-th
-    spec copy, each step's flag ANDed after it.
     """
+    if k < 1:
+        raise ValueError("fold needs k >= 1")
     gates = k * step.circuit.gate_count + (k - 1) * (3 + step.spec_width)
     budget.check_gates(gates, f"a {k}-step verifier")
-    n, s, w = step.in_width, step.spec_width, step.witness_width
-    b = CircuitBuilder(n + s + k * w)
-    wires = b.inputs()
-    spec, later = wires[n:n + s], []  # later: the spec copies of steps k, k - 1, ..., 2
-    for _ in range(k - 1):
-        spec, last = b.fanout_bus(spec, 2)
-        later.append(last)
-    specs = [spec] + later[::-1]
-    state = wires[:n]
-    flag = None
-    for i, spec in enumerate(specs):
-        witness = wires[n + s + i * w:n + s + (i + 1) * w]
-        step_flag, *state = b.splice(step.circuit, state + spec + witness)
-        flag = step_flag if flag is None else b.and_(flag, step_flag)
-    return Verifier(n, s, k * w, step.out_width, b.finish([flag] + state))
+    return _chain([step] * k)
 
 
 def step_verifier(g: Graph, en: Enumeration) -> Verifier:

@@ -39,7 +39,7 @@ def sha256(circuit) -> str:
 
 
 @pytest.mark.parametrize("k, digest", [
-    (0, "048da66c64cd28b3671cd851807900cb5a20da5319d43f51cbf1a665d2351c8c"),
+    (0, "36439e5db2dee52f41758a5e53cc1ec79e2011ecd6a55cc9193506627111388a"),
     (1, "e1b2acefdf6a7dbc97db0102869fc44dae6824582361971a0c7dc19d228ef107"),
     (3, "a8a06da53d333aa893fd295fb2a4f424ffc26a4b4236ff0d520d55b91a4c0370"),
 ])
@@ -59,7 +59,7 @@ def test_snarkized_path_verifier():
 
 
 @pytest.mark.parametrize("k, digest", [
-    (0, "5765bd99e36deeca9b7b80c18fdf9fa8e846714b91467b3280aca05873d7d7be"),
+    (0, "bfb3c961bc62aa077c383c15dcd81a4e22536706d852bddf3bd6427d96561ff9"),
     (2, "9723f08e9e291615bde032b82517d46bae592acb88d69b732a615fe7e496b166"),
 ])
 def test_universal_verifier(k, digest):
@@ -69,7 +69,7 @@ def test_universal_verifier(k, digest):
 # k = 3 nests one spec fan-out inside another, which k = 2 does not.
 @pytest.mark.parametrize("m, n, digest", [
     (1, 1, "743b7dcc421c9fb86b88e206e495f3d5c9204ae95f79da460fa6de42ccafb647"),
-    (2, 2, "712f06acbc817b616a502ff67f2c677167e9a6fec010e3969d5067ec7c22b3e8"),
+    (2, 2, "72e7e622a1ec1b789e941f25fa02ee0496c3e994463b26469dfe3d72a169168e"),
 ])
 def test_universal_verifier_nested_fold(m, n, digest):
     assert sha256(universal_verifier(m, n, 3).circuit) == digest

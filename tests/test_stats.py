@@ -43,9 +43,9 @@ WORKLOADS = {
         bristol_gates=5_460,
         gates_by_kind={"NAND": 1_374, "COPY": 1_356, "TRUE": 0, "FALSE": 0})),
     "universal": (None, 2, (2, 2), dict(
-        inputs=24, gates=1_359, wires=2_051, nand_gates=691, nand_depth=31,
-        bristol_gates=2_718,
-        gates_by_kind={"NAND": 691, "COPY": 668, "TRUE": 0, "FALSE": 0})),
+        inputs=24, gates=1_199, wires=1_811, nand_gates=611, nand_depth=29,
+        bristol_gates=2_398,
+        gates_by_kind={"NAND": 611, "COPY": 588, "TRUE": 0, "FALSE": 0})),
 }
 
 

@@ -11,8 +11,10 @@ from helpers import bv
 from pathcirc import (
     BitVector,
     BudgetError,
+    CircuitBuilder,
     TruthTable,
     all_graphs,
+    assigned_vertex_circuit,
     enumerate_graph,
     ext_equal,
     filter_circuit,
@@ -26,6 +28,7 @@ from pathcirc import (
     truth_columns,
 )
 from pathcirc.circuits import FALSE, TRUE, nand_depth
+from pathcirc.graphs import Graph, vertex_width
 
 
 def random_table(rng: Random, in_width: int, out_width: int) -> TruthTable:
@@ -246,3 +249,25 @@ class TestFilter:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             filter_circuit(BitVector(()))
+
+
+class TestAssignedVertices:
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_indicator_of_the_vertex_codes(self, extra):
+        for n in range(70):
+            g = Graph(tuple(f"v{i}" for i in range(n)), ())
+            en = enumerate_graph(g, v_bits=vertex_width(n) + extra)
+            (col,) = truth_columns(assigned_vertex_circuit(en))
+            assert col == (1 << (n + 1)) - 2
+
+    def test_no_larger_or_deeper_than_one_filter_per_vertex(self):
+        for n in (1, 2, 3, 8, 64):
+            en = enumerate_graph(Graph(tuple(f"v{i}" for i in range(n)), ()))
+            b = CircuitBuilder(en.v_bits)
+            buses = b.fanout_bus(b.inputs(), n)
+            fired = [b.splice(filter_circuit(en.vertex_code(i)), buses[i])[0] for i in range(n)]
+            filters = b.finish([b.or_chain(fired)])
+            table = assigned_vertex_circuit(en)
+            assert ext_equal(table, filters)
+            assert table.gate_count <= filters.gate_count
+            assert nand_depth(table) <= nand_depth(filters)

@@ -33,9 +33,9 @@ from pathcirc import (
     zkp_snarkize,
 )
 from pathcirc.circuits import CircuitBuilder
-from pathcirc.graphs import edge_width, vertex_width
+from pathcirc.graphs import Edge, Graph, edge_width, vertex_width
 from pathcirc.synth import _rows, _rows_gates
-from pathcirc.universal import step_gates
+from pathcirc.universal import _spec_valid, step_gates
 from pathcirc.verifiers import empty_walk
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -124,25 +124,74 @@ def test_pinned_verifier_is_the_fixed_graph_verifier():
 @pytest.mark.parametrize("width", range(1, 6))
 def test_rows_gates_counts_the_decoder(width):
     rng = Random(width)
-    for top in range(1 << width):
-        demand = Counter({p: rng.randrange(1, 4) for p in range(top + 1)})
+    demands = [Counter({p: rng.randrange(1, 4) for p in range(top + 1)})
+               for top in range(1 << width)]
+    for p in range(1 << width):  # a single pattern, and {0, p}
+        demands += [Counter({p: rng.randrange(1, 4)}), Counter({0: 1, p: rng.randrange(1, 4)})]
+    for demand in demands:
         b = CircuitBuilder(width)
         _rows(b, b.inputs(), demand)
-        assert b.gate_count == _rows_gates(width, top, sum(demand.values()))
+        assert b.gate_count == _rows_gates(width, set(demand), demand.total())
+        if set(demand) == set(range(len(demand))):
+            assert b.gate_count == _rows_gates(width, range(len(demand)), demand.total())
 
 
-@pytest.mark.parametrize("m", range(6))
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("m", range(9))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_step_gates_is_exact(m, n):
     assert step_gates(m, n) == universal_step(m, n).circuit.gate_count
 
 
 @pytest.mark.parametrize("m, n", [(1000, 1000), (10 ** 30, 1), (0, 1 << 40)])
-def test_huge_capacities_are_refused_before_any_gate(m, n):
+def test_huge_capacities_are_refused_before_any_gate(m, n, monkeypatch):
+    def no_builder(self, n_inputs):
+        raise AssertionError("a circuit was started over the gate budget")
+
+    monkeypatch.setattr(CircuitBuilder, "__init__", no_builder)
     with pytest.raises(BudgetError, match="PATHCIRC_BUDGET=gates=N"):
         universal_verifier(m, n, 1)
     with pytest.raises(BudgetError, match="PATHCIRC_BUDGET=gates=N"):
         universal_verifier(m, n, 0)
+
+
+def flag(m: int, n: int):
+    """The validity flag alone: spec in, one bit out."""
+    b = CircuitBuilder(encoding_width(m, n))
+    valid, _ = _spec_valid(b, b.inputs(), m, n)
+    return b.finish([valid])
+
+
+# every capacity with at most 16 spec bits; m = 0 and m = 1 imply rules
+# that larger capacities build
+SMALL = [(m, 1) for m in range(8)] + [(m, 2) for m in range(3)] + [(0, 3), (1, 3)]
+
+
+@pytest.mark.parametrize("m, n", SMALL)
+def test_flag_is_the_referee_on_every_spec(m, n):
+    width = encoding_width(m, n)
+    assert width <= 16
+    (column,) = truth_columns(flag(m, n))
+    for x in range(1 << width):
+        spec = BitVector.from_int(x, width).bits
+        assert column >> x & 1 == universal_ref.spec_is_valid(spec, m, n), (m, n, spec)
+
+
+def random_graph(m: int, n: int, rng: Random) -> Graph:
+    nv, ne = rng.randint(1, n), rng.randint(0, m)
+    return Graph(tuple(f"v{i}" for i in range(nv)),
+                 tuple(Edge(f"e{j}", rng.randrange(nv), rng.randrange(nv)) for j in range(ne)))
+
+
+@pytest.mark.parametrize("m, n", [(4, 3), (3, 4), (8, 8)])
+def test_flag_is_the_referee_on_seeded_specs(m, n):
+    rng, c, v_bits = Random(m * 10 + n), flag(m, n), vertex_width(n)
+    for _ in range(100):
+        bits = list(encode_graph(random_graph(m, n, rng), m, n).bits.bits)
+        assert c.evaluate(BitVector(tuple(bits))).bits == (1,)
+        cell = rng.randrange(len(bits) // v_bits) * v_bits
+        bits[cell:cell + v_bits] = BitVector.from_int(rng.randrange(1 << v_bits), v_bits).bits
+        expected = universal_ref.spec_is_valid(bits, m, n)
+        assert c.evaluate(BitVector(tuple(bits))).bits == (int(expected),)
 
 
 def test_step_over_a_lowered_budget_is_refused_with_its_size(monkeypatch):

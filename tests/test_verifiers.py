@@ -30,6 +30,7 @@ from pathcirc import (
     step_verifier,
     truth_columns,
 )
+from pathcirc.verifiers import fold
 
 AB = parse_graph('{"vertices":["a","b"],"edges":[["e","a","b"]]}')
 ABC = parse_graph(
@@ -144,6 +145,10 @@ class TestPathVerifier:
         assert pv.run(en.vertex_code(1)) == (1, en.vertex_code(1))
         assert pv.run(bv("00")) == (0, bv("00"))
         assert pv.run(bv("11")) == (0, bv("11"))
+
+    def test_fold_needs_a_step(self):
+        with pytest.raises(ValueError, match="k >= 1"):
+            fold(step_verifier(AB, enumerate_graph(AB)), 0)
 
     def test_two_step_walk(self):
         en = enumerate_graph(ABC)

@@ -1,4 +1,5 @@
-"""Reference construction of the universal lookups: a per-graph dispatch.
+"""Reference construction of the universal lookups: a per-graph dispatch,
+and a plain-Python referee of spec validity.
 
 One single-point filter per encodable graph fires on that graph's
 encoding; it is ANDed into each output bit of the graph's own circuit
@@ -6,6 +7,9 @@ on the key, and the bits are ORed across graphs, so a spec that matches
 no graph yields all zeros. This is exponential in the capacity (there
 are sum v^(2e) graphs), which is why the package builds a multiplexer
 over the spec bus instead; the tests check the two agree.
+:func:`spec_is_valid` reads the encoding layout directly, with no
+circuit, to referee the multiplexer's validity flag at capacities where
+the dispatch is too large to build.
 """
 
 from __future__ import annotations
@@ -54,3 +58,19 @@ def target(m: int, n: int) -> Circuit:
 def assigned(m: int, n: int) -> Circuit:
     """(encoding ++ vertex code) -> the code is a vertex of the encoded graph."""
     return dispatch(m, n, vertex_width(n), lambda g, en: assigned_vertex_circuit(en))
+
+
+def spec_is_valid(bits, m: int, n: int) -> bool:
+    """Whether the spec bits encode a graph at capacity (m, n): nv >= 1
+    leading identity rows (row r holds r + 1 in both tables), then at
+    most m edge rows whose cells name vertices 1..nv, then zero rows."""
+    v_bits, rows = vertex_width(n), 1 << edge_width(m, n)
+    cells = [int("".join(map(str, bits[i:i + v_bits])), 2) for i in range(0, len(bits), v_bits)]
+    pairs = list(zip(cells[:rows], cells[rows:]))
+    nv = 0
+    while nv < n and pairs[nv] == (nv + 1, nv + 1):
+        nv += 1
+    ne = 0
+    while ne < m and nv + ne < rows and all(1 <= c <= nv for c in pairs[nv + ne]):
+        ne += 1
+    return nv >= 1 and all(pair == (0, 0) for pair in pairs[nv + ne:])
