@@ -3,7 +3,12 @@
 Several constructions in this package are exponential by design
 (exhaustive equivalence checks, truth-table lowering, graph-family
 enumeration). Budgets put a hard ceiling on each of them so a typo in a
-capacity does not hang the process. The ``PATHCIRC_BUDGET`` environment
+capacity does not hang the process. The gate budget is enforced where
+gates are emitted: every :class:`~pathcirc.circuits.CircuitBuilder`
+reads it once and refuses the gate, or the spliced circuit, that would
+take it over. Only a few previews (the k-fold size, the width of a
+universal spec bus, the declared size of a circuit document) check it
+before building. The ``PATHCIRC_BUDGET`` environment
 variable overrides the defaults: either a single integer (the gate
 budget) or comma-separated ``key=value`` pairs with keys ``gates``,
 ``eval-width``, ``synth-width`` and ``graphs``.

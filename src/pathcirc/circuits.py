@@ -308,6 +308,11 @@ class CircuitBuilder:
     fan-out chains, balanced AND / OR trees, and `splice`, which
     inlines a finished circuit onto existing wires. Gates go straight
     into the flat arrays a :class:`Circuit` keeps.
+
+    The builder is the one place that enforces the gate budget on the
+    circuits it emits: it reads the limit once, refuses the gate that
+    would exceed it, and refuses a spliced circuit that would take it
+    over the limit before copying any of its gates.
     """
 
     def __init__(self, n_inputs: int):
@@ -315,6 +320,7 @@ class CircuitBuilder:
         self.kinds = bytearray()
         self.ins: list[int] = []
         self._next = n_inputs
+        self._limit = budget.current().gate_count
 
     @property
     def gate_count(self) -> int:
@@ -325,6 +331,8 @@ class CircuitBuilder:
 
     def _emit(self, code: int, in_wires: Sequence[int]) -> int:
         """Append one gate; return its first output wire."""
+        if len(self.kinds) >= self._limit:
+            budget.check_gates(len(self.kinds) + 1, "the circuit being built")
         self.kinds.append(code)
         self.ins.extend(in_wires)
         w = self._next
@@ -405,6 +413,8 @@ class CircuitBuilder:
             raise WidthError(
                 f"splice expects {sub.n_inputs} wires, got {len(in_wires)}"
             )
+        if len(self.kinds) + len(sub.kinds) > self._limit:
+            budget.check_gates(len(self.kinds) + len(sub.kinds), "the circuit being built")
         # wire[w] is the wire here of sub's wire w
         wire = list(in_wires)
         wire.extend(range(self._next, self._next + sub.wire_count - sub.n_inputs))

@@ -61,26 +61,6 @@ def _nand_all(b: CircuitBuilder, wires: list[int]) -> int:
     return b.nand(b.and_chain(wires[:half]), b.and_chain(wires[half:]))
 
 
-def _halves(patterns, low: int) -> tuple:
-    """The high and the low `low`-bit halves of a set of patterns. Those
-    of a range from 0 are ranges from 0, found without a pass over it."""
-    mask = (1 << low) - 1
-    if isinstance(patterns, range) and patterns.start == 0:
-        return range((patterns[-1] >> low) + 1), range(min(patterns[-1], mask) + 1)
-    return {p >> low for p in patterns}, {p & mask for p in patterns}
-
-
-def _rows_gates(width: int, patterns, wires: int) -> int:
-    """Gates :func:`_rows` emits on a `width`-wire bus, with its default
-    AND join, when `demand` asks for the given set of patterns (or range
-    of them) and for `wires` wires in all."""
-    if width == 1:  # the wire's fan-out, and a negation for pattern 0
-        return wires + 1 if 0 in patterns else wires - 1
-    high, low = _halves(patterns, width // 2)
-    return (wires + 2 * len(patterns) + _rows_gates(width - width // 2, high, len(patterns))
-            + _rows_gates(width // 2, low, len(patterns)))
-
-
 def synth(table: TruthTable, max_width: int | None = None) -> Circuit:
     """Lower a truth table to a circuit, exactly, on a shared row decoder."""
     width = table.in_width

@@ -24,9 +24,11 @@ built here are the :class:`~pathcirc.verifiers.Verifier` shape with
 the encoding on the spec bus; a fixed-graph verifier is the same shape
 with an empty one.
 
-Every circuit here is polynomial in the capacity. Its exact gate count
-is computed before any gate is built, and a circuit over the gate
-budget is refused.
+Every circuit here is polynomial in the capacity. A capacity whose
+spec bus alone is wider than the gate budget is refused before any gate
+is built; any other circuit over the budget is refused by its
+:class:`~pathcirc.circuits.CircuitBuilder` once it reaches the limit,
+so the cost of refusing one is bounded by the budget.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .graphs import (
     target_table,
     vertex_width,
 )
-from .synth import _nand_all, _rows, _rows_gates
+from .synth import _nand_all, _rows
 from .verifiers import (Verifier, assemble_step, compose, empty_walk, fold, snarkize,
                         verifier_identity)
 
@@ -193,63 +195,18 @@ def _spec_valid(b: CircuitBuilder, spec: list[int], m: int, n: int,
     return b.and_chain(terms), [wires["id", r].pop() for r in range(n) if identities]
 
 
-def _nand_all_gates(wires: int) -> int:
-    """Gates of :func:`synth._nand_all` over `wires` wires."""
-    return 2 if wires == 1 else 3 * wires - 5
-
-
-def _valid_gates(m: int, n: int) -> int:
-    """Gates of :func:`_spec_valid` at capacity (m, n), without
-    `identities`: a sum over the rows."""
-    v_bits, rows = vertex_width(n), 1 << edge_width(m, n)
-    codes = n - 1 if m > 1 else 0
-    # the AND of all checks; a code check is 5 gates per cell it ORs, less one
-    gates = 3 * (rows + codes - 1) - codes
-    for r in range(rows):
-        edges, checked, rule = _row(r, m, n)
-        # an identity row's code r + 1 follows the codes 0..r, unless no edge row can be here
-        patterns = (range(min(n, r + 1) + 1) if edges else
-                    {code for code, kind in ((r + 1, r < n), (0, r > 0)) if kind})
-        flags = (r < n) + (r > 0)  # and the edge flag, of 10 gates per code less 7
-        gates += (2 * _rows_gates(v_bits, patterns, len(patterns) + len(checked))
-                  + 3 * flags + (10 * len(edges) - 7 if edges else 0)
-                  + sum(map(len, rule)) - flags - bool(edges)  # the flags' fan-out
-                  + 10 * len(checked))
-        if len(rule) > 1:
-            gates += _nand_all_gates(len(rule)) + sum(_nand_all_gates(len(p)) for p in rule)
-    return gates
-
-
-def _lookup_gates(m: int, n: int) -> int:
-    """Gates of a universal source or target lookup at capacity (m, n)."""
-    v_bits, e_bits, used = vertex_width(n), edge_width(m, n), n + m
-    return (_valid_gates(m, n) + used * v_bits  # the looked-up rows' copies
-            + _rows_gates(e_bits, range(used), used * v_bits)  # a select per row and bit
-            + v_bits * (used + _nand_all_gates(used))  # the OR of selected bits
-            + (v_bits - 1) + 3 * v_bits)  # the valid flag ANDed into each bit
-
-
-def step_gates(m: int, n: int) -> int:
-    """Exact gate count of ``universal_step(m, n)``, computed in time
-    linear in the number of table rows, without building it."""
-    return (2 * _lookup_gates(m, n) + encoding_width(m, n) + edge_width(m, n)
-            + 18 * vertex_width(n) - 5)  # MATCH: a COPY and an XNOR (9) per bit, two trees, an AND
-
-
-def _refuse_over_budget(m: int, n: int, what: str, gates) -> None:
-    """Refuse `what` at capacity (m, n), a circuit of ``gates(m, n)``
-    gates, if it is over the gate budget. Its spec bus is bounded by the
-    budget first, which keeps the count cheap at huge capacities."""
+def _refuse_over_budget(m: int, n: int, what: str) -> None:
+    """Refuse `what` at capacity (m, n) if the capacity is not one, or
+    if its spec bus alone is wider than the gate budget. The builder
+    refuses any larger circuit as its gates are emitted."""
     _check_capacity(m, n)
-    what = f"{what} at capacity ({m}, {n})"
-    budget.check_gates(encoding_width(m, n), what, "spec wires")
-    budget.check_gates(gates(m, n), what)
+    budget.check_gates(encoding_width(m, n), f"{what} at capacity ({m}, {n})", "spec wires")
 
 
 def _lookup(m: int, n: int, side: int) -> Circuit:
     """(encoding ++ edge code) -> the code in row `edge code` of table
     `side` (0 source, 1 target), all-zero when the spec is invalid."""
-    _refuse_over_budget(m, n, "a universal lookup", _lookup_gates)
+    _refuse_over_budget(m, n, "a universal lookup")
     v_bits, e_bits, f_bits = vertex_width(n), edge_width(m, n), encoding_width(m, n)
     used = n + m
     b = CircuitBuilder(f_bits + e_bits)
@@ -283,9 +240,9 @@ def universal_step(m: int, n: int) -> Verifier:
     State in: a vertex code at capacity width. Spec: a graph encoding.
     Witness: an edge code. Flag is MATCH(vertex, source); state out is
     the target, both read through the universal lookups. Refused over
-    the gate budget before any gate is built (see :func:`step_gates`).
+    the gate budget.
     """
-    _refuse_over_budget(m, n, "the universal step", step_gates)
+    _refuse_over_budget(m, n, "the universal step")
     return assemble_step(vertex_width(n), encoding_width(m, n), edge_width(m, n),
                          universal_source(m, n), universal_target(m, n))
 
@@ -294,7 +251,7 @@ def _assigned(m: int, n: int) -> Circuit:
     """(encoding ++ vertex code) -> whether the code is a vertex of the
     encoded graph: the spec is valid and row s - 1, the identity step of
     vertex s, is an identity row."""
-    _refuse_over_budget(m, n, "the spec validity check", _valid_gates)
+    _refuse_over_budget(m, n, "the spec validity check")
     f_bits = encoding_width(m, n)
     b = CircuitBuilder(f_bits + vertex_width(n))
     valid, ids = _spec_valid(b, b.inputs()[:f_bits], m, n, identities=True)

@@ -163,12 +163,12 @@ def edge_evaluator(g: Graph, en: Enumeration, step: Step) -> Verifier:
 def empty_walk(v_bits: int, spec_bits: int, assigned: Circuit) -> Verifier:
     """The k = 0 check around `assigned`, a circuit reading (spec ++
     vertex code) that flags an assigned vertex: accept iff the state is
-    assigned, and pass the state through. Refused over the gate budget."""
+    assigned, and pass the state through. Its builder refuses it over
+    the gate budget before splicing `assigned`."""
     b = CircuitBuilder(v_bits + spec_bits)
     wires = b.inputs()
     through, checked = b.fanout_bus(wires[:v_bits], 2)
     (flag,) = b.splice(assigned, wires[v_bits:] + checked)
-    budget.check_gates(b.gate_count, "the empty-walk check")
     return Verifier(v_bits, spec_bits, 0, v_bits, b.finish([flag] + through))
 
 

@@ -331,6 +331,22 @@ class TestLibraryGateBudget:
                      "--path", "e1,e2"]) == 1
         assert "BudgetError" in capsys.readouterr().err
 
+    def test_snarkize_is_refused_over_the_budget(self, tmp_path, capsys, monkeypatch):
+        # the 2-step verifier fits 133 gates; its snark circuit has 167
+        graph = tmp_path / "cycle.json"
+        graph.write_text('{"vertices":["a","b"],"edges":[["e","a","b"],["f","b","a"]]}',
+                         encoding="utf-8")
+        monkeypatch.setenv("PATHCIRC_BUDGET", "gates=133")
+        out, snark = tmp_path / "pv.json", tmp_path / "snark.json"
+        assert main(["compile", "--graph", str(graph), "--length", "2", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["gates"]) == 133
+        capsys.readouterr()
+        assert main(["snarkize", "--circuit", str(out), "--kind", "kp",
+                     "--out", str(snark)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "PATHCIRC_BUDGET=gates=N" in err
+        assert not snark.exists()
+
     def test_empty_walk_needs_no_step(self, ab_graph, monkeypatch):
         # the 1-step verifier of ab has 85 gates, the empty-walk check 19
         monkeypatch.setenv("PATHCIRC_BUDGET", "gates=19")

@@ -8,18 +8,25 @@ import pytest
 from pathcirc import (
     BudgetError,
     CapacityError,
+    EdgeStep,
     KpMorphism,
     Verifier,
     ZkpMorphism,
+    assigned_vertex_circuit,
     capacity_enumeration,
     compose,
+    edge_evaluator,
     encode_graph,
     enumerate_graph,
     kp_compose,
     kp_identity,
     parse_graph,
     path_verifier,
+    seq,
     snarkize,
+    source_circuit,
+    step_verifier,
+    tensor,
     universal_source,
     universal_step,
     universal_verifier,
@@ -61,6 +68,17 @@ def fold_gates(kind: str, k: int) -> int:
     return k * step.circuit.gate_count + (k - 1) * (3 + step.spec_width)
 
 
+EN = enumerate_graph(ABC)
+STEP = step_verifier(ABC, EN)
+# constructions with no size preview: only their builder bounds them
+UNPREVIEWED = {
+    "compose": lambda: compose(STEP, STEP).circuit,
+    "seq": lambda: seq(source_circuit(ABC, EN), assigned_vertex_circuit(EN)),
+    "tensor": lambda: tensor(source_circuit(ABC, EN), assigned_vertex_circuit(EN)),
+    "edge_evaluator": lambda: edge_evaluator(ABC, EN, EdgeStep(1)).circuit,
+}
+
+
 class TestGateBudget:
     @pytest.mark.parametrize("kind", ["fixed", "universal"])
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -72,11 +90,11 @@ class TestGateBudget:
     @pytest.mark.parametrize("kind", ["fixed", "universal"])
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_one_gate_less_is_refused_before_composing(self, kind, k, monkeypatch):
-        def no_compose(f, g):
+        def no_chain(parts):
             raise AssertionError("composed a verifier over the gate budget")
 
-        monkeypatch.setattr(verifiers, "compose", no_compose)
         monkeypatch.setenv("PATHCIRC_BUDGET", f"gates={fold_gates(kind, k) - 1}")
+        monkeypatch.setattr(verifiers, "_chain", no_chain)
         with pytest.raises(BudgetError, match="PATHCIRC_BUDGET=gates="):
             build(kind, k)
 
@@ -88,6 +106,13 @@ class TestGateBudget:
         monkeypatch.setenv("PATHCIRC_BUDGET", f"gates={n - 1}")
         with pytest.raises(BudgetError):
             build(kind, 0)
+
+    @pytest.mark.parametrize("name", sorted(UNPREVIEWED))
+    def test_builder_refuses_one_gate_below_the_size(self, name, monkeypatch):
+        size = UNPREVIEWED[name]().gate_count
+        monkeypatch.setenv("PATHCIRC_BUDGET", f"gates={size - 1}")
+        with pytest.raises(BudgetError, match="PATHCIRC_BUDGET=gates=N"):
+            UNPREVIEWED[name]()
 
 
 class TestCapacity:

@@ -1,6 +1,6 @@
 """The universal lookups as a multiplexer over the spec bus, against the
 per-graph dispatch they replace (``universal_ref``), the fixed-graph
-verifiers and the oracle; their exact gate counts; their reach."""
+verifiers and the oracle; their gate budget; their reach."""
 
 from __future__ import annotations
 
@@ -34,8 +34,7 @@ from pathcirc import (
 )
 from pathcirc.circuits import CircuitBuilder
 from pathcirc.graphs import Edge, Graph, edge_width, vertex_width
-from pathcirc.synth import _rows, _rows_gates
-from pathcirc.universal import _spec_valid, step_gates
+from pathcirc.universal import _spec_valid
 from pathcirc.verifiers import empty_walk
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -121,28 +120,7 @@ def test_pinned_verifier_is_the_fixed_graph_verifier():
             truth_columns(pv.circuit)
 
 
-@pytest.mark.parametrize("width", range(1, 6))
-def test_rows_gates_counts_the_decoder(width):
-    rng = Random(width)
-    demands = [Counter({p: rng.randrange(1, 4) for p in range(top + 1)})
-               for top in range(1 << width)]
-    for p in range(1 << width):  # a single pattern, and {0, p}
-        demands += [Counter({p: rng.randrange(1, 4)}), Counter({0: 1, p: rng.randrange(1, 4)})]
-    for demand in demands:
-        b = CircuitBuilder(width)
-        _rows(b, b.inputs(), demand)
-        assert b.gate_count == _rows_gates(width, set(demand), demand.total())
-        if set(demand) == set(range(len(demand))):
-            assert b.gate_count == _rows_gates(width, range(len(demand)), demand.total())
-
-
-@pytest.mark.parametrize("m", range(9))
-@pytest.mark.parametrize("n", range(1, 9))
-def test_step_gates_is_exact(m, n):
-    assert step_gates(m, n) == universal_step(m, n).circuit.gate_count
-
-
-@pytest.mark.parametrize("m, n", [(1000, 1000), (10 ** 30, 1), (0, 1 << 40)])
+@pytest.mark.parametrize("m, n", [(10 ** 30, 1), (0, 1 << 40)])
 def test_huge_capacities_are_refused_before_any_gate(m, n, monkeypatch):
     def no_builder(self, n_inputs):
         raise AssertionError("a circuit was started over the gate budget")
@@ -195,11 +173,17 @@ def test_flag_is_the_referee_on_seeded_specs(m, n):
 
 
 def test_step_over_a_lowered_budget_is_refused_with_its_size(monkeypatch):
-    monkeypatch.setenv("PATHCIRC_BUDGET", f"gates={step_gates(2, 2) - 1}")
-    with pytest.raises(BudgetError, match=f"has {step_gates(2, 2)} gates"):
-        universal_step(2, 2)
-    monkeypatch.setenv("PATHCIRC_BUDGET", f"gates={step_gates(2, 2)}")
-    assert universal_step(2, 2).circuit.gate_count == step_gates(2, 2)
+    """The builder's threshold is the built gate count: each circuit
+    builds at its size and is refused, naming that size, one gate below."""
+    for build in (universal_step, lambda m, n: universal_verifier(m, n, 0)):
+        for m, n in [(2, 2), (4, 3), (8, 8)]:
+            monkeypatch.delenv("PATHCIRC_BUDGET", raising=False)
+            size = build(m, n).circuit.gate_count
+            monkeypatch.setenv("PATHCIRC_BUDGET", f"gates={size}")
+            assert build(m, n).circuit.gate_count == size
+            monkeypatch.setenv("PATHCIRC_BUDGET", f"gates={size - 1}")
+            with pytest.raises(BudgetError, match=f"has {size} gates.*PATHCIRC_BUDGET=gates=N"):
+                build(m, n)
 
 
 def reads(circuit) -> Counter:
@@ -238,3 +222,21 @@ def test_compile_universal_at_four_edges_and_three_vertices(tmp_path):
     rc, peak_kb = map(int, done.stdout.split())
     assert rc == 0
     assert peak_kb < 100 * 1024
+
+
+@pytest.mark.parametrize("length", [1, 0])
+def test_over_budget_capacity_is_refused_in_bounded_memory(length, tmp_path):
+    """(1000, 1000) passes the spec-wire check and is refused by the
+    builder once it reaches the gate budget, so the refusal's time and
+    memory are bounded by the budget."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("PATHCIRC_BUDGET", None)
+    argv = ["compile-universal", "--max-edges", "1000", "--max-vertices", "1000",
+            "--length", str(length), "--out", str(tmp_path / "uv.json")]
+    done = subprocess.run([sys.executable, "-c", LAUNCHER, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    rc, peak_kb = map(int, done.stdout.split())
+    assert rc == 1
+    assert done.stderr.count("\n") == 1 and "PATHCIRC_BUDGET=gates=N" in done.stderr
+    assert peak_kb < 256 * 1024
+    assert not (tmp_path / "uv.json").exists()
