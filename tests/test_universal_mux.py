@@ -120,6 +120,20 @@ def test_pinned_verifier_is_the_fixed_graph_verifier():
             truth_columns(pv.circuit)
 
 
+@pytest.mark.parametrize("m", range(9))
+@pytest.mark.parametrize("n", range(1, 9))
+def test_step_gates_is_exact(m, n, monkeypatch):
+    """The step's built gate count is the exact budget threshold: it
+    builds, unchanged, at that limit and is refused one gate below."""
+    monkeypatch.delenv("PATHCIRC_BUDGET", raising=False)
+    step = universal_step(m, n).circuit
+    monkeypatch.setenv("PATHCIRC_BUDGET", f"gates={step.gate_count}")
+    assert universal_step(m, n).circuit == step
+    monkeypatch.setenv("PATHCIRC_BUDGET", f"gates={step.gate_count - 1}")
+    with pytest.raises(BudgetError, match=f"has {step.gate_count} gates"):
+        universal_step(m, n)
+
+
 @pytest.mark.parametrize("m, n", [(10 ** 30, 1), (0, 1 << 40)])
 def test_huge_capacities_are_refused_before_any_gate(m, n, monkeypatch):
     def no_builder(self, n_inputs):
