@@ -10,15 +10,17 @@ one kind code per gate (an index into :data:`KINDS`), and ``ins`` the
 input wires of every gate, gate after gate. Output wires are not
 stored: by the dense-wire invariant, a gate's outputs are the next
 free wires. :attr:`Circuit.gates` is a derived view of
-:class:`GateInstance` objects, built on demand for callers that want
+:class:`GateInstance` records, built on demand for callers that want
 one object per gate; the builder, the serialisers and the interpreter
 all work on the arrays.
 
-:meth:`CircuitBuilder.splice` is the one place that renumbers wires:
-sequential composition (:func:`seq`) and juxtaposition (:func:`tensor`)
-are splices into a fresh builder. Identities and symmetries
-(:func:`symmetry`) emit no gates at all -- they are pure rewiring
-through ``output_map``.
+Every circuit is made by a :class:`CircuitBuilder`, which appends
+gates to those arrays, and the only other source of circuits is the
+document reader. :meth:`CircuitBuilder.splice` is the one place that
+renumbers wires: sequential composition (:func:`seq`) and
+juxtaposition (:func:`tensor`) are splices into a fresh builder.
+Identities and symmetries (:func:`symmetry`) emit no gates at all --
+they are pure rewiring through ``output_map``.
 
 There is one interpreter, the bit-sliced engine behind
 :func:`truth_columns`; :meth:`Circuit.evaluate` is that engine with
@@ -30,7 +32,7 @@ and bit vectors can be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import lt
 from typing import Iterator, Sequence
@@ -122,69 +124,37 @@ class BitVector:
 
 @dataclass(frozen=True)
 class GateInstance:
-    """One primitive gate occurrence, wired by integer wire ids."""
+    """One primitive gate occurrence, wired by integer wire ids: the
+    record :attr:`Circuit.gates` returns."""
 
     kind: str
     in_wires: tuple[int, ...]
     out_wires: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "in_wires", tuple(self.in_wires))
-        object.__setattr__(self, "out_wires", tuple(self.out_wires))
-        if self.kind not in GATE_ARITY:
-            raise ValidationError(f"unknown gate kind {self.kind!r}")
-        n_in, n_out = GATE_ARITY[self.kind]
-        if len(self.in_wires) != n_in or len(self.out_wires) != n_out:
-            raise ValidationError(
-                f"{self.kind} gate must have {n_in} inputs / {n_out} outputs, "
-                f"got {len(self.in_wires)}/{len(self.out_wires)}"
-            )
 
-
-def _flatten(n_inputs: int, gates) -> tuple[bytearray, list[int]]:
-    """The kind codes and input wires of a gate list whose output wires
-    are dense."""
-    kinds, ins = bytearray(), []
-    next_wire = n_inputs
-    for g in gates:
-        for w in g.out_wires:
-            if w != next_wire:
-                raise ValidationError(f"{g.kind} gate writes wire {w}, expected {next_wire}")
-            next_wire += 1
-        kinds.append(CODE[g.kind])
-        ins.extend(g.in_wires)
-    return kinds, ins
-
-
+@dataclass(frozen=True, slots=True, repr=False)
 class Circuit:
     """Immutable circuit with dense, topologically ordered wires.
 
-    ``Circuit(n_inputs, n_outputs, gates, output_map)`` builds one from
-    a sequence of :class:`GateInstance`; the builder leaves ``gates``
-    None and passes the flat arrays, ``kinds`` and ``ins``, instead.
-    Either way the circuit is validated in :meth:`__post_init__`.
+    The fields are the flat arrays: ``kinds`` and ``ins`` as in the
+    module docstring, and ``output_map``, the wire of each output.
+    Circuits are made by :class:`CircuitBuilder` (or read from a
+    document by :func:`~pathcirc.formats.document_from_json`); either
+    way :meth:`__post_init__` stores the arrays immutably and validates
+    them.
     """
 
-    __slots__ = ("n_inputs", "n_outputs", "kinds", "ins", "output_map")
-
-    def __init__(self, n_inputs: int, n_outputs: int, gates=None, output_map=(),
-                 kinds: bytes = b"", ins: Sequence[int] = ()):
-        if gates is not None:
-            kinds, ins = _flatten(n_inputs, gates)
-        set_ = object.__setattr__
-        set_(self, "n_inputs", n_inputs)
-        set_(self, "n_outputs", n_outputs)
-        set_(self, "kinds", bytes(kinds))
-        set_(self, "ins", tuple(ins))
-        set_(self, "output_map", tuple(output_map))
-        self.__post_init__()
+    n_inputs: int
+    output_map: tuple[int, ...]
+    kinds: bytes = b""
+    ins: tuple[int, ...] = ()
 
     def __post_init__(self):
+        for name, kind in (("output_map", tuple), ("kinds", bytes), ("ins", tuple)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
         kinds, ins = self.kinds, self.ins
         if self.n_inputs < 0:
             raise ValidationError("n_inputs must be non-negative")
-        if self.n_outputs != len(self.output_map):
-            raise ValidationError("n_outputs does not match output_map length")
         unknown = kinds.translate(None, _CODES)
         if unknown:
             raise ValidationError(f"unknown gate kind code {unknown[0]}")
@@ -211,26 +181,6 @@ class Circuit:
                     raise ValidationError(f"{KINDS[code]} gate reads undefined wire {w}")
             next_wire += _N_OUT[code]
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _key(self):
-        return self.n_inputs, self.n_outputs, self.kinds, self.ins, self.output_map
-
-    def __eq__(self, other):
-        if not isinstance(other, Circuit):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __reduce__(self):
-        return Circuit, (self.n_inputs, self.n_outputs, None, self.output_map,
-                         self.kinds, self.ins)
-
     def __repr__(self):
         return (f"Circuit(n_inputs={self.n_inputs}, n_outputs={self.n_outputs}, "
                 f"gates={self.gate_count}, output_map={self.output_map!r})")
@@ -247,6 +197,10 @@ class Circuit:
                                     tuple(range(next_wire, next_wire + n_out))))
             next_wire += n_out
         return tuple(out)
+
+    @property
+    def n_outputs(self) -> int:
+        return len(self.output_map)
 
     @property
     def wire_count(self) -> int:
@@ -269,18 +223,21 @@ class Circuit:
 def primitive(kind: str) -> Circuit:
     """Single-gate circuit for one of the four primitive kinds."""
     n_in, n_out = GATE_ARITY[kind]
-    return Circuit(n_in, n_out, None, range(n_in, n_in + n_out), bytes([CODE[kind]]),
-                   range(n_in))
+    b = CircuitBuilder(n_in)
+    w = b._emit(CODE[kind], b.inputs())
+    return b.finish(range(w, w + n_out))
 
 
 def identity(width: int) -> Circuit:
     """Identity on `width` wires; zero gates."""
-    return Circuit(width, width, (), range(width))
+    return CircuitBuilder(width).finish(range(width))
 
 
 def symmetry(w1: int, w2: int) -> Circuit:
     """Swap a `w1`-wire block past a `w2`-wire block; zero gates."""
-    return Circuit(w1 + w2, w1 + w2, (), list(range(w1, w1 + w2)) + list(range(w1)))
+    b = CircuitBuilder(w1 + w2)
+    wires = b.inputs()
+    return b.finish(wires[w1:] + wires[:w1])
 
 
 def seq(c1: Circuit, c2: Circuit) -> Circuit:
@@ -424,8 +381,7 @@ class CircuitBuilder:
         return [wire[w] for w in sub.output_map]
 
     def finish(self, output_map: Sequence[int]) -> Circuit:
-        out = tuple(output_map)
-        return Circuit(self.n_inputs, len(out), None, out, self.kinds, self.ins)
+        return Circuit(self.n_inputs, output_map, self.kinds, self.ins)
 
 
 def constant(bits: BitVector) -> Circuit:

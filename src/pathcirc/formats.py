@@ -145,7 +145,9 @@ def document_from_json(text: str) -> CircuitDocument:
     if outs != list(dense):
         w, expected = next((w, e) for w, e in zip(outs, dense) if w != e)
         raise ValidationError(f"a gate writes wire {w}, expected {expected}")
-    circuit = Circuit(n_inputs, n_outputs, None, output_map, kinds, ins)
+    if n_outputs != len(output_map):
+        raise ValidationError("n_outputs does not match output_map length")
+    circuit = Circuit(n_inputs, output_map, kinds, ins)
     metadata = doc.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise ParseError("metadata must be a JSON object")

@@ -368,15 +368,14 @@ def parse_graph(text: str) -> Graph:
     return Graph(tuple(vertices), tuple(parsed))
 
 
-def all_graphs(n: int, m: int, max_count: int | None = None) -> list[Graph]:
+def all_graphs(n: int, m: int) -> list[Graph]:
     """Every graph with exactly n vertices and m edges, in canonical order.
 
     Each edge slot independently ranges over all (source, target)
     pairs, so there are n**(2m) graphs. Vertices are named v1..vn and
     edges e1..em.
     """
-    if max_count is None:
-        max_count = budget.current().graph_count
+    max_count = budget.current().graph_count
     count = n ** (2 * m)
     if count > max_count:
         raise BudgetError(f"{count} graphs exceed the family budget {max_count} "

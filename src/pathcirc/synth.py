@@ -61,10 +61,10 @@ def _nand_all(b: CircuitBuilder, wires: list[int]) -> int:
     return b.nand(b.and_chain(wires[:half]), b.and_chain(wires[half:]))
 
 
-def synth(table: TruthTable, max_width: int | None = None) -> Circuit:
+def synth(table: TruthTable) -> Circuit:
     """Lower a truth table to a circuit, exactly, on a shared row decoder."""
     width = table.in_width
-    budget.check_width(width, "synthesis", "synth-width", max_width)
+    budget.check_width(width, "synthesis", "synth-width")
     b = CircuitBuilder(width)
     ones = [[x for x, row in enumerate(table.rows) if row.bits[bit]]
             for bit in range(table.out_width)]

@@ -104,7 +104,7 @@ def _check_capacity(m: int, n: int) -> None:
         raise CapacityError(f"capacity needs at least 1 vertex and 0 edges, got ({m}, {n})")
 
 
-def valid_graphs(m: int, n: int, max_count: int | None = None) -> list[Graph]:
+def valid_graphs(m: int, n: int) -> list[Graph]:
     """Every graph encodable at capacity (m, n), in canonical order.
 
     Ranges over 1..n vertices and 0..m edges: their encodings are the
@@ -114,8 +114,7 @@ def valid_graphs(m: int, n: int, max_count: int | None = None) -> list[Graph]:
     A capacity below one vertex or zero edges is refused.
     """
     _check_capacity(m, n)
-    if max_count is None:
-        max_count = budget.current().graph_count
+    max_count = budget.current().graph_count
     total = 0
     for v in range(1, n + 1):
         for e in range(m + 1):
@@ -126,7 +125,7 @@ def valid_graphs(m: int, n: int, max_count: int | None = None) -> list[Graph]:
     out = []
     for v in range(1, n + 1):
         for e in range(m + 1):
-            out.extend(all_graphs(v, e, max_count=max_count))
+            out.extend(all_graphs(v, e))
     return out
 
 
@@ -269,13 +268,17 @@ def universal_verifier(m: int, n: int, k: int) -> Verifier:
     check: accept iff the state input is an assigned vertex of the
     encoded graph, passing the state through (the spec-ignoring
     categorical identity is :func:`verifier_identity`). Verifiers over
-    the gate budget are refused.
+    a budget are refused, naming the capacity and k.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k == 0:
-        return empty_walk(vertex_width(n), encoding_width(m, n), _assigned(m, n))
-    return fold(universal_step(m, n), k)
+    try:
+        if k == 0:
+            return empty_walk(vertex_width(n), encoding_width(m, n), _assigned(m, n))
+        return fold(universal_step(m, n), k)
+    except BudgetError as exc:
+        raise BudgetError(f"the universal verifier at capacity ({m}, {n}), k = {k}: "
+                          f"{exc}") from exc
 
 
 ZkpMorphism = Verifier

@@ -149,11 +149,6 @@ def edge_evaluator(g: Graph, en: Enumeration, step: Step) -> Verifier:
     Witness-free; on a vertex code v it accepts iff v is the step's
     source, and always outputs the step's target code.
     """
-    if isinstance(step, IdStep):
-        if not 0 <= step.vertex < g.n_vertices:
-            raise LookupError(f"graph has no vertex {step.vertex}")
-    elif not 0 <= step.edge < g.n_edges:
-        raise LookupError(f"graph has no edge {step.edge}")
     b = CircuitBuilder(en.v_bits)
     code = [b.true() if bit else b.false() for bit in en.step_code(step)]
     out = b.splice(step_verifier(g, en).circuit, b.inputs() + code)

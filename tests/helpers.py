@@ -1,9 +1,11 @@
 """Shared test helpers: shorthand constructors, random circuit soup,
-and exhaustive hom enumeration for small graphs."""
+the benchmark's graph documents, wire reads, and exhaustive hom
+enumeration for small graphs."""
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from random import Random
 
 from pathcirc import (
@@ -45,6 +47,27 @@ def random_circuit(rng: Random, n_inputs: int, n_outputs: int, max_gates: int = 
         live.append(b.true())
     rng.shuffle(live)
     return b.finish(live[:n_outputs])
+
+
+def de_bruijn(d: int) -> dict:
+    """Graph document of the binary de Bruijn graph B(2, d)."""
+    states = [format(i, f"0{d}b") for i in range(1 << d)]
+    return {"vertices": states, "edges": [[f"{s}>{b}", s, s[1:] + b]
+                                          for s in states for b in "01"]}
+
+
+def random_multigraph(n_vertices: int, n_edges: int, rng: Random) -> dict:
+    """Graph document with uniformly drawn endpoints (loops and parallel
+    edges allowed)."""
+    vertices = [f"v{i}" for i in range(n_vertices)]
+    return {"vertices": vertices,
+            "edges": [[f"e{j}", rng.choice(vertices), rng.choice(vertices)]
+                      for j in range(n_edges)]}
+
+
+def reads(circuit) -> Counter:
+    """How often each wire is read, by a gate or by the output map."""
+    return Counter(circuit.ins) + Counter(circuit.output_map)
 
 
 def random_kp(rng: Random, in_width: int, out_width: int, max_witness: int = 2) -> KpMorphism:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 from random import Random
 
 import pytest
@@ -13,7 +15,6 @@ from pathcirc import (
     BitVector,
     BudgetError,
     Circuit,
-    GateInstance,
     ValidationError,
     WidthError,
     and_gate,
@@ -32,7 +33,7 @@ from pathcirc import (
     truth_columns,
     xor_gate,
 )
-from pathcirc.circuits import COPY, FALSE, NAND, TRUE, nand_depth
+from pathcirc.circuits import CODE, COPY, FALSE, NAND, TRUE, nand_depth
 
 
 class TestBitVector:
@@ -293,21 +294,42 @@ class TestAlgebraicLaws:
 class TestStructuralValidity:
     def test_reading_undefined_wire(self):
         with pytest.raises(ValidationError):
-            Circuit(1, 1, (GateInstance(NAND, (0, 5), (1,)),), (1,))
-
-    def test_non_dense_gate_output(self):
-        with pytest.raises(ValidationError):
-            Circuit(1, 1, (GateInstance(COPY, (0,), (2, 3)),), (2,))
+            Circuit(1, (1,), bytes([CODE[NAND]]), (0, 5))
 
     def test_dangling_output_map(self):
         with pytest.raises(ValidationError):
-            Circuit(1, 1, (), (3,))
-
-    def test_bad_arity(self):
-        with pytest.raises(ValidationError):
-            GateInstance(NAND, (0,), (1,))
+            Circuit(1, (3,))
 
     def test_immutable(self):
         c = and_gate()
         with pytest.raises(AttributeError):
             c.n_inputs = 5
+
+
+class TestValueSemantics:
+    """A circuit is a value: equal arrays make equal, hashable circuits,
+    and it survives pickling and copying unchanged."""
+
+    CIRCUITS = [identity(0), symmetry(2, 3), constant(bv("10")), nary_and(5),
+                random_circuit(Random(5), 4, 3, 40)]
+
+    @pytest.mark.parametrize("c", CIRCUITS, ids=repr)
+    def test_pickle_and_deepcopy_round_trip(self, c):
+        for twin in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+            assert twin == c and hash(twin) == hash(c)
+
+    def test_equal_circuits_hash_equal(self):
+        c = nary_and(5)
+        twin = Circuit(c.n_inputs, list(c.output_map), bytearray(c.kinds), list(c.ins))
+        assert twin == c and hash(twin) == hash(c)
+        assert len({c, twin, nary_and(5)}) == 1
+        assert c != nary_or(5) and c != identity(5)
+
+    @pytest.mark.parametrize("field", ["n_inputs", "output_map", "kinds", "ins"])
+    def test_every_assignment_is_refused(self, field):
+        c = and_gate()
+        with pytest.raises(AttributeError):
+            setattr(c, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(c, field)
+        assert c == and_gate()

@@ -234,9 +234,12 @@ class TestAllGraphs:
         (g,) = all_graphs(1, 1)
         assert g.edges == (Edge("e1", 0, 0),)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setenv("PATHCIRC_BUDGET", "graphs=100")
         with pytest.raises(BudgetError):
-            all_graphs(4, 4, max_count=100)
+            all_graphs(4, 4)
+        monkeypatch.setenv("PATHCIRC_BUDGET", "graphs=256")
+        assert len(all_graphs(4, 2)) == 256
 
     def test_budget_error_names_its_key(self, monkeypatch):
         monkeypatch.setenv("PATHCIRC_BUDGET", "graphs=100")

@@ -9,8 +9,8 @@ from random import Random
 import pytest
 
 from json_ref import reference_json
-from pathcirc import Circuit, GateInstance, ValidationError, document_from_json, to_json
-from pathcirc.circuits import COPY, FALSE, NAND, TRUE
+from pathcirc import Circuit, ValidationError, document_from_json, to_json
+from pathcirc.circuits import CODE, COPY, FALSE, NAND, TRUE
 
 ARITY = {NAND: (2, 1), COPY: (1, 2), TRUE: (0, 1), FALSE: (0, 1)}
 
@@ -50,8 +50,8 @@ def test_to_json_matches_the_reference(n_inputs, n_gates, n_outputs, seed, metad
     rng = Random(seed)
     gates, wires = random_gates(rng, n_inputs, n_gates)
     output_map = [rng.randrange(wires) for _ in range(n_outputs if wires else 0)]
-    circuit = Circuit(n_inputs, len(output_map),
-                      tuple(GateInstance(*g) for g in gates), tuple(output_map))
+    circuit = Circuit(n_inputs, output_map, bytes(CODE[kind] for kind, _, _ in gates),
+                      [w for _, ins, _ in gates for w in ins])
     expected = reference_json(n_inputs, gates, output_map, metadata)
     assert to_json(circuit, metadata) == expected
     doc = document_from_json(expected)

@@ -7,21 +7,9 @@ from random import Random
 
 import pytest
 
+from helpers import de_bruijn, random_multigraph
 from pathcirc import Circuit, and_gate, to_json
 from pathcirc.cli import main
-
-
-def de_bruijn(d: int) -> dict:
-    states = [format(i, f"0{d}b") for i in range(1 << d)]
-    return {"vertices": states, "edges": [[f"{s}>{b}", s, s[1:] + b]
-                                          for s in states for b in "01"]}
-
-
-def random_multigraph(n_vertices: int, n_edges: int, rng: Random) -> dict:
-    vertices = [f"v{i}" for i in range(n_vertices)]
-    return {"vertices": vertices,
-            "edges": [[f"e{j}", rng.choice(vertices), rng.choice(vertices)]
-                      for j in range(n_edges)]}
 
 
 def stats(path, capsys) -> dict:
@@ -69,7 +57,7 @@ def test_stats_of_the_benchmark_snark_circuits(name, tmp_path, capsys):
 
 def test_stats_of_an_empty_circuit(tmp_path, capsys):
     path = tmp_path / "empty.json"
-    path.write_text(to_json(Circuit(0, 0, (), ())), encoding="utf-8")
+    path.write_text(to_json(Circuit(0, ())), encoding="utf-8")
     assert stats(path, capsys) == {
         "inputs": 0, "outputs": 0, "gates": 0, "wires": 0, "nand_gates": 0, "nand_depth": 0,
         "bristol_gates": 0, "gates_by_kind": {"NAND": 0, "COPY": 0, "TRUE": 0, "FALSE": 0}}

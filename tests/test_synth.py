@@ -88,10 +88,11 @@ class TestSynth:
         assert table_matches_circuit(table, c)
         assert ext_equal(c, match_circuit(2))
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setenv("PATHCIRC_BUDGET", "synth-width=1")
         table = TruthTable(2, 1, tuple(bv("1") for _ in range(4)))
         with pytest.raises(BudgetError):
-            synth(table, max_width=1)
+            synth(table)
 
     def test_budget_error_names_its_key(self, monkeypatch):
         monkeypatch.setenv("PATHCIRC_BUDGET", "synth-width=2")
@@ -99,11 +100,10 @@ class TestSynth:
         with pytest.raises(BudgetError, match="PATHCIRC_BUDGET=synth-width=N"):
             synth(table)
 
-    def test_max_width_only_lowers_the_budget(self, monkeypatch):
-        monkeypatch.setenv("PATHCIRC_BUDGET", "synth-width=2")
+    def test_width_at_the_budget_is_accepted(self, monkeypatch):
+        monkeypatch.setenv("PATHCIRC_BUDGET", "synth-width=3")
         table = TruthTable(3, 1, tuple(bv("1") for _ in range(8)))
-        with pytest.raises(BudgetError, match="synth-width"):
-            synth(table, max_width=16)
+        assert table_matches_circuit(table, synth(table))
 
 
 def tables(in_width: int, out_width: int):

@@ -14,6 +14,7 @@ from random import Random
 import pytest
 
 import universal_ref
+from helpers import reads
 from pathcirc import (
     BitVector,
     BudgetError,
@@ -200,10 +201,6 @@ def test_step_over_a_lowered_budget_is_refused_with_its_size(monkeypatch):
                 build(m, n)
 
 
-def reads(circuit) -> Counter:
-    return Counter(circuit.ins) + Counter(circuit.output_map)
-
-
 @pytest.mark.parametrize("m, n", [(1, 2), (2, 2), (3, 2)])
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_every_wire_is_read_once(m, n, k):
@@ -252,5 +249,6 @@ def test_over_budget_capacity_is_refused_in_bounded_memory(length, tmp_path):
     rc, peak_kb = map(int, done.stdout.split())
     assert rc == 1
     assert done.stderr.count("\n") == 1 and "PATHCIRC_BUDGET=gates=N" in done.stderr
+    assert f"capacity (1000, 1000), k = {length}:" in done.stderr
     assert peak_kb < 256 * 1024
     assert not (tmp_path / "uv.json").exists()

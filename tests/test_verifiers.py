@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from random import Random
 
 import pytest
 
-from helpers import bv, bvs, random_kp
+from helpers import bv, bvs, de_bruijn, random_kp, random_multigraph, reads
 from pathcirc import (
     BitVector,
     EdgeStep,
@@ -265,6 +266,18 @@ class TestSnarkize:
         assert snarkize(f).n_outputs == 1
         assert whole.n_inputs > snarkize(f).n_inputs
         assert snarkize(g).n_inputs > snarkize(f).n_outputs
+
+
+@pytest.mark.parametrize("graph, k", [(de_bruijn(3), 8),
+                                      (random_multigraph(32, 64, Random(1909)), 1)],
+                         ids=["B(2,3)-k8", "32V-64E-k1"])
+def test_every_wire_is_read_once(graph, k):
+    """No wire of a fixed-graph verifier or its snark circuit is dead
+    or read twice, by a gate or by the output map."""
+    g = parse_graph(json.dumps(graph))
+    pv = path_verifier(g, enumerate_graph(g), k)
+    for c in (pv.circuit, snarkize(pv)):
+        assert reads(c) == Counter(range(c.wire_count))
 
 
 class TestFixedStepsMatchGenericVerifier:
