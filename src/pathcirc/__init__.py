@@ -10,6 +10,7 @@ from .circuits import (
     and_gate,
     bus_copy,
     constant,
+    evaluate_batch,
     ext_equal,
     identity,
     nary_and,

@@ -22,17 +22,25 @@ juxtaposition (:func:`tensor`) are splices into a fresh builder.
 Identities and symmetries (:func:`symmetry`) emit no gates at all --
 they are pure rewiring through ``output_map``.
 
-There is one interpreter, the bit-sliced engine behind
-:func:`truth_columns`; :meth:`Circuit.evaluate` is that engine with
-every input pinned.
+There is one interpreter, :func:`_run`. On its first evaluation a
+circuit is lowered, once, to a NAND-only program that is cached on it:
+a COPY aliases its input's value and so does no work, TRUE and FALSE
+are two fixed values, and each NAND is a pair of operand value ids.
+:func:`_run` is a bit-sliced loop over those pairs, so one pass
+evaluates as many input vectors as a column has bit positions.
+:func:`truth_columns` runs it on every assignment of the free inputs,
+:meth:`Circuit.evaluate` on one vector, and :func:`evaluate_batch` on
+a list of vectors, one bit position each.
 
 All values here are immutable and every operation is pure, so circuits
-and bit vectors can be shared freely between threads.
+and bit vectors can be shared freely between threads. The cached
+program holds only tuples and ints; two threads that lower the same
+circuit at once store equal programs, and either one may stay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice, repeat
 from operator import lt
 from typing import Iterator, Sequence
@@ -59,6 +67,7 @@ _N_IN = bytes(GATE_ARITY[KINDS[i]][0] if i < len(KINDS) else 0 for i in range(25
 _N_OUT = bytes(GATE_ARITY[KINDS[i]][1] if i < len(KINDS) else 0 for i in range(256))
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -141,13 +150,15 @@ class Circuit:
     Circuits are made by :class:`CircuitBuilder` (or read from a
     document by :func:`~pathcirc.formats.document_from_json`); either
     way :meth:`__post_init__` stores the arrays immutably and validates
-    them.
+    them. ``_program`` caches the NAND program of the first evaluation;
+    equality, hashing and ``repr`` ignore it.
     """
 
     n_inputs: int
     output_map: tuple[int, ...]
     kinds: bytes = b""
     ins: tuple[int, ...] = ()
+    _program: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name, kind in (("output_map", tuple), ("kinds", bytes), ("ins", tuple)):
@@ -211,13 +222,15 @@ class Circuit:
         return len(self.kinds)
 
     def evaluate(self, inputs: BitVector) -> BitVector:
-        """Run the circuit on one input vector: :func:`truth_columns`
-        with every input pinned."""
-        if inputs.width != self.n_inputs:
-            raise WidthError(
-                f"circuit expects {self.n_inputs} input bits, got {inputs.width}"
-            )
-        return BitVector(tuple(truth_columns(self, dict(enumerate(inputs.bits)))))
+        """Run the circuit on one input vector: the interpreter with
+        one-bit columns."""
+        _check_width(self, inputs)
+        return BitVector(tuple(_run(self, inputs.bits, 1)))
+
+
+def _check_width(c: Circuit, inputs: BitVector) -> None:
+    if inputs.width != c.n_inputs:
+        raise WidthError(f"circuit expects {c.n_inputs} input bits, got {inputs.width}")
 
 
 def primitive(kind: str) -> Circuit:
@@ -435,16 +448,63 @@ def bus_copy(width: int, copies: int = 2) -> Circuit:
     return b.finish([w for bus in buses for w in bus])
 
 
+def _lower(c: Circuit) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The NAND program of `c`: the operand value ids of every NAND, in
+    gate order, as a left and a right tuple, and the value id of every
+    output.
+
+    Value ids ``0..n_inputs-1`` are the inputs, ``n_inputs`` is FALSE,
+    ``n_inputs + 1`` is TRUE, and the NANDs number on from there. A
+    COPY gate's outputs alias its input's value.
+    """
+    false = c.n_inputs
+    value = list(range(false))  # value[w]: the value id of wire w
+    append = value.append
+    left: list[int] = []
+    right: list[int] = []
+    read = iter(c.ins).__next__
+    nxt = false + 2
+    for code in c.kinds:
+        if code == _NAND:
+            left.append(value[read()])
+            right.append(value[read()])
+            append(nxt)
+            nxt += 1
+        elif code == _COPY:
+            v = value[read()]
+            append(v)
+            append(v)
+        else:
+            append(false + (code == _TRUE))
+    return tuple(left), tuple(right), tuple(value[w] for w in c.output_map)
+
+
+def _run(c: Circuit, input_columns: Sequence[int], full: int) -> list[int]:
+    """The one interpreter: the output columns of `c` on the given input
+    columns, each `full`'s bit width wide. The first run lowers `c` and
+    caches the program on it."""
+    program = c._program
+    if program is None:
+        program = _lower(c)
+        object.__setattr__(c, "_program", program)
+    left, right, outputs = program
+    v = [*input_columns, 0, full]
+    append = v.append
+    for a, b in zip(left, right):
+        append(full ^ (v[a] & v[b]))
+    return [v[w] for w in outputs]
+
+
 def truth_columns(c: Circuit, fixed: dict[int, int] | None = None) -> list[int]:
     """Truth-table columns of every output over all free-input assignments.
 
-    Inputs listed in `fixed` are pinned to the given bit; the remaining
-    inputs are exhausted in wire order, the lowest-numbered free input
-    being the most significant position of the assignment index. Bit
-    ``i`` of a returned column is the output value on the assignment
-    whose (MSB-first) integer value is ``i``. Every column is returned
-    as a single arbitrary-precision integer, which makes exhaustive
-    equivalence checks a single pass over the gates.
+    Inputs listed in `fixed` are pinned to the given bit, 0 or 1; the
+    remaining inputs are exhausted in wire order, the lowest-numbered
+    free input being the most significant position of the assignment
+    index. Bit ``i`` of a returned column is the output value on the
+    assignment whose (MSB-first) integer value is ``i``. Every column
+    is returned as a single arbitrary-precision integer, so one run of
+    the interpreter makes an exhaustive equivalence check.
     """
     fixed = fixed or {}
     free = [w for w in range(c.n_inputs) if w not in fixed]
@@ -455,27 +515,31 @@ def truth_columns(c: Circuit, fixed: dict[int, int] | None = None) -> list[int]:
     for w, bit in fixed.items():
         if not 0 <= w < c.n_inputs:
             raise WidthError(f"fixed wire {w} is not a circuit input")
+        if bit not in (0, 1):
+            raise ValueError(f"bits must be 0 or 1: {fixed!r}")
         cols[w] = full if bit else 0
     for j, w in enumerate(free):
         half = 1 << (n - 1 - j)
         period = half << 1
         unit = ((1 << half) - 1) << half
         cols[w] = unit * (full // ((1 << period) - 1))
-    # wires are dense, so each gate appends its outputs' columns
-    append = cols.append
-    read = iter(c.ins).__next__
-    for code in c.kinds:
-        if code == _NAND:
-            append(full ^ (cols[read()] & cols[read()]))
-        elif code == _COPY:
-            v = cols[read()]
-            append(v)
-            append(v)
-        elif code == _TRUE:
-            append(full)
-        else:
-            append(0)
-    return [cols[w] for w in c.output_map]
+    return _run(c, cols, full)
+
+
+def evaluate_batch(c: Circuit, vectors: Sequence[BitVector]) -> list[BitVector]:
+    """:meth:`Circuit.evaluate` on every vector, in one run of the
+    interpreter: vector ``j`` is bit position ``j`` of every column."""
+    for inputs in vectors:
+        _check_width(c, inputs)
+    n = len(vectors)
+    if not n:
+        return []
+    # MSB first, so the last vector is the top bit of each column
+    cols = [int(bytes(bits).translate(_DIGITS), 2)
+            for bits in zip(*(v.bits for v in reversed(vectors)))]
+    outs = [format(col, f"0{n}b").encode().translate(_BITS)[::-1]
+            for col in _run(c, cols, (1 << n) - 1)]
+    return [BitVector(tuple(out[j] for out in outs)) for j in range(n)]
 
 
 def nand_depth(c: Circuit) -> int:

@@ -19,7 +19,9 @@ from pathcirc import (
     WidthError,
     and_gate,
     bus_copy,
+    circuits,
     constant,
+    evaluate_batch,
     ext_equal,
     identity,
     nary_and,
@@ -252,6 +254,11 @@ class TestColumns:
         assert truth_columns(c, fixed={0: 0}) == [0b00]
         assert truth_columns(c, fixed={0: 1, 1: 1}) == [0b1]
 
+    @pytest.mark.parametrize("fixed", [{0: 2, 1: "x"}, {0: 0.5}, {1: -1}, {0: None}])
+    def test_pinned_values_must_be_bits(self, fixed):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            truth_columns(and_gate(), fixed)
+
 
 class TestAlgebraicLaws:
     """Interchange, functoriality and monoidality on sampled circuits."""
@@ -308,15 +315,59 @@ class TestStructuralValidity:
 
 class TestValueSemantics:
     """A circuit is a value: equal arrays make equal, hashable circuits,
-    and it survives pickling and copying unchanged."""
+    and it survives pickling and copying unchanged. The program cached
+    by its first evaluation changes none of that."""
 
     CIRCUITS = [identity(0), symmetry(2, 3), constant(bv("10")), nary_and(5),
                 random_circuit(Random(5), 4, 3, 40)]
+
+    @staticmethod
+    def evaluated(c: Circuit) -> Circuit:
+        """A fresh twin of `c`, evaluated on every input vector."""
+        twin = Circuit(c.n_inputs, c.output_map, c.kinds, c.ins)
+        for x in range(1 << c.n_inputs):
+            twin.evaluate(BitVector.from_int(x, c.n_inputs))
+        return twin
+
+    @staticmethod
+    def outputs(c: Circuit) -> list[BitVector]:
+        return [c.evaluate(BitVector.from_int(x, c.n_inputs)) for x in range(1 << c.n_inputs)]
 
     @pytest.mark.parametrize("c", CIRCUITS, ids=repr)
     def test_pickle_and_deepcopy_round_trip(self, c):
         for twin in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
             assert twin == c and hash(twin) == hash(c)
+
+    @pytest.mark.parametrize("c", CIRCUITS, ids=repr)
+    def test_equality_hash_and_repr_ignore_the_cache(self, c):
+        fresh = Circuit(c.n_inputs, c.output_map, c.kinds, c.ins)
+        done = self.evaluated(c)
+        assert fresh._program is None and done._program is not None
+        assert done == fresh and hash(done) == hash(fresh) and repr(done) == repr(fresh)
+
+    @pytest.mark.parametrize("c", CIRCUITS, ids=repr)
+    def test_evaluated_circuits_round_trip(self, c):
+        done = self.evaluated(c)
+        for twin in (pickle.loads(pickle.dumps(done)), copy.deepcopy(done)):
+            assert twin == done and hash(twin) == hash(done)
+            assert self.outputs(twin) == self.outputs(done)
+
+    @pytest.mark.parametrize("c", CIRCUITS, ids=repr)
+    def test_the_cache_holds_only_tuples_and_ints(self, c):
+        def plain(x):
+            return type(x) is int or type(x) is tuple and all(map(plain, x))
+        assert plain(self.evaluated(c)._program)
+
+    def test_a_circuit_is_lowered_once(self, monkeypatch):
+        lowered = []
+        lower = circuits._lower
+        monkeypatch.setattr(circuits, "_lower", lambda c: lowered.append(c) or lower(c))
+        c = self.evaluated(random_circuit(Random(5), 4, 3, 40))
+        truth_columns(c)
+        truth_columns(c, {1: 1})
+        evaluate_batch(c, [BitVector.zeros(4)] * 3)
+        assert ext_equal(c, c)
+        assert lowered == [c]
 
     def test_equal_circuits_hash_equal(self):
         c = nary_and(5)
