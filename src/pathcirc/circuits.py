@@ -22,15 +22,16 @@ juxtaposition (:func:`tensor`) are splices into a fresh builder.
 Identities and symmetries (:func:`symmetry`) emit no gates at all --
 they are pure rewiring through ``output_map``.
 
-There is one interpreter, :func:`_run`. On its first evaluation a
-circuit is lowered, once, to a NAND-only program that is cached on it:
-a COPY aliases its input's value and so does no work, TRUE and FALSE
-are two fixed values, and each NAND is a pair of operand value ids.
-:func:`_run` is a bit-sliced loop over those pairs, so one pass
-evaluates as many input vectors as a column has bit positions.
-:func:`truth_columns` runs it on every assignment of the free inputs,
-:meth:`Circuit.evaluate` on one vector, and :func:`evaluate_batch` on
-a list of vectors, one bit position each.
+There is one interpreter, :func:`_run`. The first time a circuit is
+evaluated, measured by :func:`nand_depth` or written as Bristol Fashion,
+it is lowered, once, to a NAND-only program that is cached on it
+(:func:`_nand_program`): a COPY aliases its input's value and so does
+no work, TRUE and FALSE are two fixed values, and each NAND is a pair
+of operand value ids. :func:`_run` is a bit-sliced loop over those
+pairs, so one pass evaluates as many input vectors as a column has
+bit positions. :func:`truth_columns` runs it on every assignment of
+the free inputs, :meth:`Circuit.evaluate` on one vector, and
+:func:`evaluate_batch` on a list of vectors, one bit position each.
 
 All values here are immutable and every operation is pure, so circuits
 and bit vectors can be shared freely between threads. The cached
@@ -150,8 +151,8 @@ class Circuit:
     Circuits are made by :class:`CircuitBuilder` (or read from a
     document by :func:`~pathcirc.formats.document_from_json`); either
     way :meth:`__post_init__` stores the arrays immutably and validates
-    them. ``_program`` caches the NAND program of the first evaluation;
-    equality, hashing and ``repr`` ignore it.
+    them. ``_program`` caches the NAND program once it is lowered;
+    equality, hashing, ``repr`` and pickling ignore it.
     """
 
     n_inputs: int
@@ -182,6 +183,14 @@ class Circuit:
         if self.output_map and not (0 <= min(self.output_map) and max(self.output_map) < wires):
             bad = next(w for w in self.output_map if not 0 <= w < wires)
             raise ValidationError(f"output_map references undefined wire {bad}")
+
+    def __getstate__(self):
+        return self.n_inputs, self.output_map, self.kinds, self.ins
+
+    def __setstate__(self, state):
+        for name, value in zip(("n_inputs", "output_map", "kinds", "ins"), state):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_program", None)
 
     def _raise_undefined_read(self):
         read = iter(self.ins)
@@ -479,15 +488,20 @@ def _lower(c: Circuit) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...
     return tuple(left), tuple(right), tuple(value[w] for w in c.output_map)
 
 
-def _run(c: Circuit, input_columns: Sequence[int], full: int) -> list[int]:
-    """The one interpreter: the output columns of `c` on the given input
-    columns, each `full`'s bit width wide. The first run lowers `c` and
-    caches the program on it."""
+def _nand_program(c: Circuit) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The NAND program of `c`, as :func:`_lower` gives it: lowered on
+    the first call and cached on `c`."""
     program = c._program
     if program is None:
         program = _lower(c)
         object.__setattr__(c, "_program", program)
-    left, right, outputs = program
+    return program
+
+
+def _run(c: Circuit, input_columns: Sequence[int], full: int) -> list[int]:
+    """The one interpreter: the output columns of `c` on the given input
+    columns, each `full`'s bit width wide."""
+    left, right, outputs = _nand_program(c)
     v = [*input_columns, 0, full]
     append = v.append
     for a, b in zip(left, right):
@@ -543,20 +557,14 @@ def evaluate_batch(c: Circuit, vectors: Sequence[BitVector]) -> list[BitVector]:
 
 
 def nand_depth(c: Circuit) -> int:
-    """Longest input-to-output path, counted in NAND gates."""
-    depth = [0] * c.n_inputs
+    """Longest input-to-output path, counted in NAND gates: one depth
+    per value of the NAND program, the inputs and constants at 0."""
+    left, right, outputs = _nand_program(c)
+    depth = [0] * (c.n_inputs + 2)
     append = depth.append
-    read = iter(c.ins).__next__
-    for code in c.kinds:
-        if code == _NAND:
-            append(1 + max(depth[read()], depth[read()]))
-        elif code == _COPY:
-            d = depth[read()]
-            append(d)
-            append(d)
-        else:
-            append(0)
-    return max((depth[w] for w in c.output_map), default=0)
+    for a, b in zip(left, right):
+        append(1 + max(depth[a], depth[b]))
+    return max(map(depth.__getitem__, outputs), default=0)
 
 
 def ext_equal(c1: Circuit, c2: Circuit, max_width: int | None = None) -> bool:

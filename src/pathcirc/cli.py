@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path as FsPath
 
 from .circuits import CODE, NAND, BitVector, Circuit, ext_equal, nand_depth
@@ -182,8 +183,11 @@ def _cmd_equiv(args) -> int:
 
 def _circuit_stats(c: Circuit) -> dict:
     """What a circuit costs: its boundary, gates by kind, wires, NAND
-    count and depth, and the gate count of its Bristol Fashion form."""
+    count and depth, and the gate count of its Bristol Fashion form, in
+    total and by operator (AND is the gate an MPC protocol pays for)."""
     by_kind = {kind: c.kinds.count(code) for kind, code in CODE.items()}
+    bristol = to_bristol(c).splitlines()
+    by_op = Counter(line.rsplit(" ", 1)[1] for line in bristol[4:])
     return {
         "inputs": c.n_inputs,
         "outputs": c.n_outputs,
@@ -192,7 +196,8 @@ def _circuit_stats(c: Circuit) -> dict:
         "wires": c.wire_count,
         "nand_gates": by_kind[NAND],
         "nand_depth": nand_depth(c),
-        "bristol_gates": int(to_bristol(c).split(" ", 1)[0]),
+        "bristol_gates": int(bristol[0].split(" ", 1)[0]),
+        "bristol_by_op": {op: by_op[op] for op in ("AND", "INV", "EQ", "EQW")},
     }
 
 
@@ -271,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="refuse circuits wider than this (at most the eval-width budget)")
     p.set_defaults(run=_cmd_equiv)
 
-    p = sub.add_parser("stats", help="print a circuit's size, depth and Bristol gate count")
+    p = sub.add_parser("stats", help="print a circuit's size, depth and Bristol gate counts")
     p.add_argument("--circuit", required=True, help="circuit JSON file")
     p.set_defaults(run=_cmd_stats)
 

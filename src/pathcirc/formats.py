@@ -5,14 +5,23 @@ round-trips, deterministic key order, optional metadata block (wire
 partitions, enumeration assignments) so verifier structure survives a
 trip through a file.
 
-Bristol Fashion is the lossy hand-off format for MPC/zk toolchains:
-NAND lowers to AND+INV, COPY to two EQW, constants to EQ gates with a
-literal 0/1 source, and a final block of EQW gates relocates the
-circuit outputs to the trailing wires the format requires. When an
-output is produced by the last use of a gate, the gate writes straight
-into the output region instead (its nominal internal wire stays
-reserved, so the wire count is always inputs + lowered gate outputs +
-outputs).
+Bristol Fashion is the lossy hand-off format for MPC/zk toolchains.
+It is written from the circuit's cached NAND program
+(:func:`~pathcirc.circuits._nand_program`), holding each value as a
+literal: a Bristol wire and a complement bit. Inputs are positive
+literals, and a COPY, already an alias in the program, emits nothing.
+A NAND of two equal literals is that literal complemented and emits
+nothing either, so NOT is free and AND costs one AND gate. Any other
+NAND emits one AND over its operands made positive -- a complemented
+operand through an INV, emitted at most once per wire -- and is the
+complement of that AND. A constant is one EQ gate with a literal 0/1
+source, emitted only if the program reads it. A final block moves the
+outputs to the trailing wires the format requires: an INV for a
+complemented output, an EQW for a positive one. When a positive output
+is a gate output that nothing else reads, the gate writes straight
+into the output region instead; its nominal internal wire stays
+reserved, so the wire count is always inputs + emitted gates before
+the output block + outputs.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from itertools import chain
 from typing import Any, Mapping
 
 from . import budget
-from .circuits import _COPY, _NAND, _TRUE, CODE, GATE_ARITY, KINDS, Circuit
+from .circuits import _COPY, _NAND, CODE, GATE_ARITY, KINDS, Circuit, _nand_program
 from .errors import ParseError, ValidationError
 
 FORMAT_VERSION = "1"
@@ -160,41 +169,56 @@ def from_json(text: str) -> Circuit:
 
 def to_bristol(c: Circuit) -> str:
     """Export in Bristol Fashion; byte-deterministic for a given circuit."""
+    program = _nand_program(c)
+    left, right, outputs = program
     n_in = c.n_inputs
-    # bristol[w]: the Bristol wire holding circuit wire w. Lowered gate i
-    # has operator ops[i] and sources srcs[i], and writes Bristol wire n_in + i.
-    bristol = list(range(n_in))
+    # Emitted gate i has operator ops[i] and sources srcs[i], and writes
+    # Bristol wire n_in + i. lit[v] is the literal holding program value v:
+    # twice its Bristol wire, plus 1 when v is that wire's complement.
     ops: list[str] = []
     srcs: list[tuple[int | str, ...]] = []
-    read = iter(c.ins).__next__
-    for code in c.kinds:
-        out = n_in + len(ops)
-        if code == _NAND:
-            ops += ("AND", "INV")
-            srcs += ((bristol[read()], bristol[read()]), (out,))
-            bristol.append(out + 1)
-        elif code == _COPY:
-            src = (bristol[read()],)
-            ops += ("EQW", "EQW")
-            srcs += (src, src)
-            bristol += (out, out + 1)
-        else:
+    lit = list(range(0, 2 * n_in, 2))
+    for value, bit in ((n_in, "0"), (n_in + 1, "1")):
+        lit.append(2 * (n_in + len(ops)))  # looked up only if the EQ is emitted
+        if any(value in part for part in program):
             ops.append("EQ")
-            srcs.append(("1" if code == _TRUE else "0",))
-            bristol.append(out)
+            srcs.append((bit,))
+    inverse: dict[int, int] = {}  # inverse[w]: the wire of w's one INV
+
+    def positive(literal: int) -> int:
+        """The Bristol wire that holds `literal` uncomplemented."""
+        w = literal >> 1
+        if not literal & 1:
+            return w
+        if w not in inverse:
+            inverse[w] = n_in + len(ops)
+            ops.append("INV")
+            srcs.append((w,))
+        return inverse[w]
+
+    for a, b in zip(left, right):
+        la, lb = lit[a], lit[b]
+        if la == lb:
+            lit.append(la ^ 1)
+        else:
+            operands = (positive(la), positive(lb))
+            lit.append(2 * (n_in + len(ops)) + 1)
+            ops.append("AND")
+            srcs.append(operands)
 
     next_wire = n_in + len(ops)
     outs = list(range(n_in, next_wire))
     n_wires = next_wire + c.n_outputs
     read_wires = set(chain.from_iterable(srcs))
-    uses = Counter(c.output_map)
-    for slot, src in enumerate(c.output_map):
-        wire = bristol[src]
+    out_lits = [lit[v] for v in outputs]
+    uses = Counter(literal >> 1 for literal in out_lits)
+    for slot, literal in enumerate(out_lits):
+        wire = literal >> 1
         target = next_wire + slot
-        if wire >= n_in and wire not in read_wires and uses[src] == 1:
+        if not literal & 1 and wire >= n_in and wire not in read_wires and uses[wire] == 1:
             outs[wire - n_in] = target
         else:
-            ops.append("EQW")
+            ops.append("INV" if literal & 1 else "EQW")
             srcs.append((wire,))
             outs.append(target)
 

@@ -32,6 +32,7 @@ from pathcirc import (
     seq,
     symmetry,
     tensor,
+    to_bristol,
     truth_columns,
     xor_gate,
 )
@@ -358,6 +359,14 @@ class TestValueSemantics:
             return type(x) is int or type(x) is tuple and all(map(plain, x))
         assert plain(self.evaluated(c)._program)
 
+    @pytest.mark.parametrize("c", CIRCUITS, ids=repr)
+    def test_pickling_leaves_the_cache_out(self, c):
+        fresh = Circuit(c.n_inputs, c.output_map, c.kinds, c.ins)
+        done = self.evaluated(c)
+        assert pickle.dumps(done) == pickle.dumps(fresh)
+        twin = pickle.loads(pickle.dumps(done))
+        assert twin._program is None and self.outputs(twin) == self.outputs(done)
+
     def test_a_circuit_is_lowered_once(self, monkeypatch):
         lowered = []
         lower = circuits._lower
@@ -367,6 +376,8 @@ class TestValueSemantics:
         truth_columns(c, {1: 1})
         evaluate_batch(c, [BitVector.zeros(4)] * 3)
         assert ext_equal(c, c)
+        nand_depth(c)
+        to_bristol(c)
         assert lowered == [c]
 
     def test_equal_circuits_hash_equal(self):

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from random import Random
 
 import pytest
 
 from bristol_ref import run_bristol
-from helpers import bv, random_circuit
+from helpers import bv, de_bruijn, random_circuit
 from pathcirc import (
     BitVector,
+    CircuitBuilder,
     ParseError,
     ValidationError,
     and_gate,
@@ -19,6 +21,8 @@ from pathcirc import (
     from_json,
     identity,
     match_circuit,
+    not_gate,
+    pad_path,
     parse_graph,
     path_verifier,
     primitive,
@@ -28,7 +32,8 @@ from pathcirc import (
     to_json,
     xor_gate,
 )
-from pathcirc.circuits import COPY, FALSE, NAND, TRUE
+from pathcirc.circuits import CODE, COPY, FALSE, NAND, TRUE
+from pathcirc.graphs import EdgeStep, Path
 
 AB = parse_graph('{"vertices":["a","b"],"edges":[["e","a","b"]]}')
 
@@ -58,6 +63,15 @@ def random_circuits():
     rng = Random(2024)
     return [random_circuit(rng, rng.randrange(6), rng.randrange(1, 5), max_gates=40)
             for _ in range(12)]
+
+
+def gate_lines(text: str) -> list[str]:
+    return text.splitlines()[4:]
+
+
+def ops(text: str) -> Counter:
+    """The number of gates of each operator in a Bristol Fashion text."""
+    return Counter(line.rsplit(" ", 1)[1] for line in gate_lines(text))
 
 
 AND_DOC = {"format_version": "1", "n_inputs": 2, "n_outputs": 1,
@@ -185,3 +199,47 @@ class TestBristol:
             inp = BitVector.from_int(x, circuit.n_inputs)
             expected = str(circuit.evaluate(inp))
             assert run_bristol(text, str(inp)) == expected
+
+    def test_not_lowers_to_one_inv(self):
+        assert gate_lines(to_bristol(not_gate())) == ["1 1 0 1 INV"]
+
+    def test_and_lowers_to_one_and(self):
+        assert gate_lines(to_bristol(and_gate())) == ["2 1 0 1 3 AND"]
+
+    def test_a_constant_read_twice_is_one_eq(self):
+        b = CircuitBuilder(2)
+        t1, t2 = b.copy(b.true())
+        c = b.finish([b.nand(0, t1), b.nand(1, t2)])
+        text = to_bristol(c)
+        assert ops(text) == {"EQ": 1, "INV": 2, "AND": 2}
+        for x in range(4):
+            inp = BitVector.from_int(x, 2)
+            assert run_bristol(text, str(inp)) == str(c.evaluate(inp))
+
+    @pytest.mark.parametrize("circuit", sample_circuits() + random_circuits())
+    def test_at_most_one_and_per_nand(self, circuit):
+        assert ops(to_bristol(circuit))["AND"] <= circuit.kinds.count(CODE[NAND])
+
+    def test_reference_interpreter_agrees_on_long_walks(self):
+        g = parse_graph(json.dumps(de_bruijn(3)))
+        en = enumerate_graph(g)
+        k = 8
+        c = snarkize(path_verifier(g, en, k))
+        text = to_bristol(c)
+        rng = Random(1909)
+        verdicts = set()
+        for i in range(16):
+            start = end = rng.randrange(g.n_vertices)
+            steps = []
+            for _ in range(rng.randrange(k + 1)):
+                edge = rng.choice([j for j, e in enumerate(g.edges) if e.src == end])
+                steps.append(EdgeStep(edge))
+                end = g.edges[edge].tgt
+            claim = end if i % 2 else rng.randrange(g.n_vertices)
+            codes = [en.vertex_code(start), *pad_path(en, Path(start, tuple(steps)), k),
+                     en.vertex_code(claim)]
+            inp = sum(codes, BitVector(()))
+            expected = str(c.evaluate(inp))
+            assert run_bristol(text, str(inp)) == expected
+            verdicts.add(expected)
+        assert verdicts == {"0", "1"}
