@@ -142,7 +142,7 @@ class GateInstance:
     out_wires: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, repr=False)
 class Circuit:
     """Immutable circuit with dense, topologically ordered wires.
 

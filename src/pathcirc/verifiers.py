@@ -12,8 +12,9 @@ walks of a graph. The snarkizator then folds the state output into the
 inputs (as a claimed result) leaving a single output bit, the shape
 SNARK toolchains consume.
 
-Composition is left-associated everywhere; all associations compute
-the same function, and equality of verifiers is always extensional,
+Every bracketing of a composite computes the same function, so a
+k-fold is built flat: one spec fan-out to all k parts and one balanced
+AND tree over their flags. Equality of verifiers is always extensional,
 never gate-list identity.
 """
 
@@ -72,16 +73,17 @@ def compose(f: Verifier, g: Verifier) -> Verifier:
 
     Both halves read the one spec bus, duplicated with COPY. The witness
     of the composite is f's witness block followed by g's. This is the
-    two-verifier case of :func:`_chain`.
+    two-verifier case of :func:`_chain`, so ``compose(compose(f, g), h)``
+    and ``fold`` compute the same function but wire it differently.
     """
     return _chain([f, g])
 
 
 def _chain(parts: list[Verifier]) -> Verifier:
-    """The left-associated composite of one or more verifiers, in one
-    builder, in the order the left fold ``compose(...compose(f, g)...,
-    h)`` emits it: first the nested spec fan-outs, outermost first, then
-    part i on the i-th spec copy, each part's flag ANDed after it."""
+    """The composite of one or more verifiers, in one builder: the spec
+    bus fanned out once to all parts, part i on the i-th spec copy, and
+    the part flags joined by one balanced AND tree after the last part.
+    Every bracketing of the parts computes this function."""
     for f, g in zip(parts, parts[1:]):
         if f.out_width != g.in_width:
             raise WidthError(
@@ -92,16 +94,12 @@ def _chain(parts: list[Verifier]) -> Verifier:
     n, s = parts[0].in_width, parts[0].spec_width
     b = CircuitBuilder(n + s + sum(part.witness_width for part in parts))
     wires = b.inputs()
-    spec, later = wires[n:n + s], []  # later: the spec copies of the last part, ..., the second
-    for _ in parts[1:]:
-        spec, last = b.fanout_bus(spec, 2)
-        later.append(last)
-    state, flag, at = wires[:n], None, n + s
-    for part, spec in zip(parts, [spec] + later[::-1]):
+    state, flags, at = wires[:n], [], n + s
+    for part, spec in zip(parts, b.fanout_bus(wires[n:n + s], len(parts))):
         witness, at = wires[at:at + part.witness_width], at + part.witness_width
-        part_flag, *state = b.splice(part.circuit, state + spec + witness)
-        flag = part_flag if flag is None else b.and_(flag, part_flag)
-    return Verifier(n, s, at - n - s, parts[-1].out_width, b.finish([flag] + state))
+        flag, *state = b.splice(part.circuit, state + spec + witness)
+        flags.append(flag)
+    return Verifier(n, s, at - n - s, parts[-1].out_width, b.finish([b.and_chain(flags)] + state))
 
 
 def assemble_step(v_bits: int, spec_bits: int, e_bits: int,
@@ -124,12 +122,13 @@ def assemble_step(v_bits: int, spec_bits: int, e_bits: int,
 
 
 def fold(step: Verifier, k: int) -> Verifier:
-    """The left-associated k-fold composite of a step checker, k >= 1
-    (see :func:`_chain`).
+    """The k-fold composite of a step checker, k >= 1 (see :func:`_chain`).
 
-    Each composition adds the spec fan-out and one AND (3 gates) to the
-    two halves, so the gate count is known exactly in advance, and a
-    fold over the gate budget is refused before any gate is emitted.
+    Beyond the k steps it has k - 1 spec COPYs per spec wire and k - 1
+    flag ANDs (3 gates each), so the gate count is known exactly in
+    advance, and a fold over the gate budget is refused before any gate
+    is emitted. The flags are joined in a balanced tree, so the NAND
+    depth grows by at most 2*ceil(log2 k) over the step's.
     """
     if k < 1:
         raise ValueError("fold needs k >= 1")

@@ -6,6 +6,7 @@ import copy
 import itertools
 import math
 import pickle
+from dataclasses import FrozenInstanceError
 from random import Random
 
 import pytest
@@ -387,11 +388,12 @@ class TestValueSemantics:
         assert len({c, twin, nary_and(5)}) == 1
         assert c != nary_or(5) and c != identity(5)
 
-    @pytest.mark.parametrize("field", ["n_inputs", "output_map", "kinds", "ins"])
-    def test_every_assignment_is_refused(self, field):
+    # "extra" is no field: a new attribute is refused the same way
+    @pytest.mark.parametrize("name", ["n_inputs", "output_map", "kinds", "ins", "extra"])
+    def test_every_assignment_is_refused(self, name):
         c = and_gate()
-        with pytest.raises(AttributeError):
-            setattr(c, field, 0)
-        with pytest.raises(AttributeError):
-            delattr(c, field)
+        with pytest.raises(FrozenInstanceError):
+            setattr(c, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(c, name)
         assert c == and_gate()

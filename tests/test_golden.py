@@ -41,7 +41,7 @@ def sha256(circuit) -> str:
 @pytest.mark.parametrize("k, digest", [
     (0, "36439e5db2dee52f41758a5e53cc1ec79e2011ecd6a55cc9193506627111388a"),
     (1, "e1b2acefdf6a7dbc97db0102869fc44dae6824582361971a0c7dc19d228ef107"),
-    (3, "a8a06da53d333aa893fd295fb2a4f424ffc26a4b4236ff0d520d55b91a4c0370"),
+    (3, "905399538e104be73edd9b092301b79e920546e842fd147582fa41bc014ea68f"),
 ])
 def test_path_verifier(k, digest):
     assert sha256(path_verifier(ABC, enumerate_graph(ABC), k).circuit) == digest
@@ -49,13 +49,13 @@ def test_path_verifier(k, digest):
 
 def test_path_verifier_long_fold():
     assert sha256(path_verifier(ABC, enumerate_graph(ABC), 8).circuit) == \
-        "1fe80e7bf625b1a10d68f250a35cfe291e80986b0ce6fd02199e8cf6468a312b"
+        "899a67560826e05a21d48770887dcbc7fd5009fd6b6e96d02b07896169a67d2d"
 
 
 def test_snarkized_path_verifier():
     pv = path_verifier(ABC, enumerate_graph(ABC), 3)
     assert sha256(snarkize(pv)) == \
-        "c127620dd9c70b3d8736f59dde39244177f9d492412c51c3c810baf3a8355697"
+        "6f99536cc23a7daae33a899631d0c2b9fea45841b83cdc0d204101aadd31e6c0"
 
 
 @pytest.mark.parametrize("k, digest", [
@@ -66,10 +66,11 @@ def test_universal_verifier(k, digest):
     assert sha256(universal_verifier(1, 1, k).circuit) == digest
 
 
-# k = 3 nests one spec fan-out inside another, which k = 2 does not.
+# k = 3 is the smallest fold that is not a single compose: one three-way
+# spec fan-out, and both flag ANDs after the last step.
 @pytest.mark.parametrize("m, n, digest", [
-    (1, 1, "743b7dcc421c9fb86b88e206e495f3d5c9204ae95f79da460fa6de42ccafb647"),
-    (2, 2, "72e7e622a1ec1b789e941f25fa02ee0496c3e994463b26469dfe3d72a169168e"),
+    (1, 1, "9bddcf7f52f89be28480c0c497b98f30391f943ddced5ae7637847fba55e9b0f"),
+    (2, 2, "a08edd945ebee0a98979b59e1f0cf3f83fdc1e26257c96ab781f0351f8aa559b"),
 ])
 def test_universal_verifier_nested_fold(m, n, digest):
     assert sha256(universal_verifier(m, n, 3).circuit) == digest
