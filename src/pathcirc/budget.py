@@ -45,9 +45,9 @@ _ENV_KEYS = {
 }
 
 
-def current(env=os.environ) -> Budget:
+def current() -> Budget:
     """Return the active budget, honouring PATHCIRC_BUDGET if set."""
-    raw = env.get("PATHCIRC_BUDGET")
+    raw = os.environ.get("PATHCIRC_BUDGET")
     if raw is None or not raw.strip():
         return _DEFAULT
     budget = _DEFAULT
@@ -72,13 +72,11 @@ def check_gates(count: int, what: str, unit: str = "gates") -> None:
                           f"(raise it with PATHCIRC_BUDGET=gates=N)")
 
 
-def check_width(width: int, what: str, key: str, max_width: int | None = None) -> None:
+def check_width(width: int, what: str, key: str) -> None:
     """Refuse `what`, an exhaustive operation over `width` inputs, if it
     exceeds the width budget under `key` (``eval-width`` or
-    ``synth-width``). A caller's `max_width` can only lower that limit."""
+    ``synth-width``)."""
     limit = getattr(current(), _ENV_KEYS[key])
     if width > limit:
         raise BudgetError(f"{what} over {width} inputs exceeds the {key} budget {limit} "
                           f"(raise it with PATHCIRC_BUDGET={key}=N)")
-    if max_width is not None and width > max_width:
-        raise BudgetError(f"{what} over {width} inputs exceeds the width limit {max_width}")

@@ -25,7 +25,7 @@ they are pure rewiring through ``output_map``.
 There is one interpreter, :func:`_run`. The first time a circuit is
 evaluated, measured by :func:`nand_depth` or written as Bristol Fashion,
 it is lowered, once, to a NAND-only program that is cached on it
-(:func:`_nand_program`): a COPY aliases its input's value and so does
+(:attr:`Circuit._program`): a COPY aliases its input's value and so does
 no work, TRUE and FALSE are two fixed values, and each NAND is a pair
 of operand value ids. :func:`_run` is a bit-sliced loop over those
 pairs, so one pass evaluates as many input vectors as a column has
@@ -41,7 +41,8 @@ circuit at once store equal programs, and either one may stay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from operator import lt
 from typing import Iterator, Sequence
@@ -151,7 +152,7 @@ class Circuit:
     Circuits are made by :class:`CircuitBuilder` (or read from a
     document by :func:`~pathcirc.formats.document_from_json`); either
     way :meth:`__post_init__` stores the arrays immutably and validates
-    them. ``_program`` caches the NAND program once it is lowered;
+    them. :attr:`_program` caches the NAND program once it is lowered;
     equality, hashing, ``repr`` and pickling ignore it.
     """
 
@@ -159,7 +160,6 @@ class Circuit:
     output_map: tuple[int, ...]
     kinds: bytes = b""
     ins: tuple[int, ...] = ()
-    _program: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name, kind in (("output_map", tuple), ("kinds", bytes), ("ins", tuple)):
@@ -185,12 +185,13 @@ class Circuit:
             raise ValidationError(f"output_map references undefined wire {bad}")
 
     def __getstate__(self):
-        return self.n_inputs, self.output_map, self.kinds, self.ins
+        return {name: getattr(self, name) for name in ("n_inputs", "output_map", "kinds", "ins")}
 
-    def __setstate__(self, state):
-        for name, value in zip(("n_inputs", "output_map", "kinds", "ins"), state):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_program", None)
+    @cached_property
+    def _program(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """The NAND program, as :func:`_lower` gives it: lowered on the
+        first read and cached on the circuit."""
+        return _lower(self)
 
     def _raise_undefined_read(self):
         read = iter(self.ins)
@@ -488,20 +489,10 @@ def _lower(c: Circuit) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...
     return tuple(left), tuple(right), tuple(value[w] for w in c.output_map)
 
 
-def _nand_program(c: Circuit) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The NAND program of `c`, as :func:`_lower` gives it: lowered on
-    the first call and cached on `c`."""
-    program = c._program
-    if program is None:
-        program = _lower(c)
-        object.__setattr__(c, "_program", program)
-    return program
-
-
 def _run(c: Circuit, input_columns: Sequence[int], full: int) -> list[int]:
     """The one interpreter: the output columns of `c` on the given input
     columns, each `full`'s bit width wide."""
-    left, right, outputs = _nand_program(c)
+    left, right, outputs = c._program
     v = [*input_columns, 0, full]
     append = v.append
     for a, b in zip(left, right):
@@ -518,11 +509,14 @@ def truth_columns(c: Circuit, fixed: dict[int, int] | None = None) -> list[int]:
     index. Bit ``i`` of a returned column is the output value on the
     assignment whose (MSB-first) integer value is ``i``. Every column
     is returned as a single arbitrary-precision integer, so one run of
-    the interpreter makes an exhaustive equivalence check.
+    the interpreter makes an exhaustive equivalence check. The
+    ``eval-width`` budget bounds the free inputs, as the columns are
+    2^n bits wide.
     """
     fixed = fixed or {}
     free = [w for w in range(c.n_inputs) if w not in fixed]
     n = len(free)
+    budget.check_width(n, "truth_columns", "eval-width")
     size = 1 << n
     full = (1 << size) - 1
     cols = [0] * c.n_inputs
@@ -559,7 +553,7 @@ def evaluate_batch(c: Circuit, vectors: Sequence[BitVector]) -> list[BitVector]:
 def nand_depth(c: Circuit) -> int:
     """Longest input-to-output path, counted in NAND gates: one depth
     per value of the NAND program, the inputs and constants at 0."""
-    left, right, outputs = _nand_program(c)
+    left, right, outputs = c._program
     depth = [0] * (c.n_inputs + 2)
     append = depth.append
     for a, b in zip(left, right):
@@ -567,17 +561,15 @@ def nand_depth(c: Circuit) -> int:
     return max(map(depth.__getitem__, outputs), default=0)
 
 
-def ext_equal(c1: Circuit, c2: Circuit, max_width: int | None = None) -> bool:
+def ext_equal(c1: Circuit, c2: Circuit) -> bool:
     """Extensional equality: same boolean function on all inputs.
 
-    Purely exhaustive; guarded by the ``eval-width`` budget because the
-    check is 2^n in the input width. `max_width` can only lower that
-    limit.
+    Purely exhaustive, over :func:`truth_columns` and so under its
+    ``eval-width`` budget.
     """
     if c1.n_inputs != c2.n_inputs or c1.n_outputs != c2.n_outputs:
         raise WidthError(
             f"cannot compare {c1.n_inputs}->{c1.n_outputs} "
             f"with {c2.n_inputs}->{c2.n_outputs}"
         )
-    budget.check_width(c1.n_inputs, "ext_equal", "eval-width", max_width)
     return truth_columns(c1) == truth_columns(c2)

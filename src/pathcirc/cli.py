@@ -176,7 +176,7 @@ def _cmd_encode_graph(args) -> int:
 def _cmd_equiv(args) -> int:
     a = document_from_json(_read(args.a)).circuit
     b = document_from_json(_read(args.b)).circuit
-    equal = ext_equal(a, b, max_width=args.max_width)
+    equal = ext_equal(a, b)
     print("equal" if equal else "not equal")
     return 0 if equal else 1
 
@@ -272,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="exhaustive extensional equivalence of two circuits")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--max-width", type=_at_least(0), default=None,
-                   help="refuse circuits wider than this (at most the eval-width budget)")
     p.set_defaults(run=_cmd_equiv)
 
     p = sub.add_parser("stats", help="print a circuit's size, depth and Bristol gate counts")

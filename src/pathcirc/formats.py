@@ -7,7 +7,7 @@ trip through a file.
 
 Bristol Fashion is the lossy hand-off format for MPC/zk toolchains.
 It is written from the circuit's cached NAND program
-(:func:`~pathcirc.circuits._nand_program`), holding each value as a
+(:attr:`~pathcirc.circuits.Circuit._program`), holding each value as a
 literal: a Bristol wire and a complement bit. Inputs are positive
 literals, and a COPY, already an alias in the program, emits nothing.
 A NAND of two equal literals is that literal complemented and emits
@@ -33,7 +33,7 @@ from itertools import chain
 from typing import Any, Mapping
 
 from . import budget
-from .circuits import _COPY, _NAND, CODE, GATE_ARITY, KINDS, Circuit, _nand_program
+from .circuits import _COPY, _NAND, CODE, GATE_ARITY, KINDS, Circuit
 from .errors import ParseError, ValidationError
 
 FORMAT_VERSION = "1"
@@ -169,7 +169,7 @@ def from_json(text: str) -> Circuit:
 
 def to_bristol(c: Circuit) -> str:
     """Export in Bristol Fashion; byte-deterministic for a given circuit."""
-    program = _nand_program(c)
+    program = c._program
     left, right, outputs = program
     n_in = c.n_inputs
     # Emitted gate i has operator ops[i] and sources srcs[i], and writes

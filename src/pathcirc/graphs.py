@@ -313,6 +313,9 @@ class GraphHom:
         for v in self.vmap:
             if not 0 <= v < self.cod.n_vertices:
                 raise ValidationError(f"vmap value {v} out of range")
+        for e in self.emap:
+            if not 0 <= e < self.cod.n_edges:
+                raise ValidationError(f"emap value {e} out of range")
         for i, e in enumerate(self.dom.edges):
             img = self.cod.edges[self.emap[i]]
             if self.vmap[e.src] != img.src or self.vmap[e.tgt] != img.tgt:

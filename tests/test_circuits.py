@@ -207,20 +207,16 @@ class TestExtEqual:
         with pytest.raises(WidthError):
             ext_equal(and_gate(), not_gate())
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setenv("PATHCIRC_BUDGET", "eval-width=5")
         with pytest.raises(BudgetError):
-            ext_equal(identity(6), identity(6), max_width=5)
+            ext_equal(identity(6), identity(6))
+        assert ext_equal(identity(5), identity(5))
 
     def test_budget_error_names_its_key(self, monkeypatch):
         monkeypatch.setenv("PATHCIRC_BUDGET", "eval-width=5")
         with pytest.raises(BudgetError, match="PATHCIRC_BUDGET=eval-width=N"):
             ext_equal(identity(6), identity(6))
-
-    def test_max_width_only_lowers_the_budget(self, monkeypatch):
-        monkeypatch.setenv("PATHCIRC_BUDGET", "eval-width=5")
-        with pytest.raises(BudgetError, match="eval-width"):
-            ext_equal(identity(6), identity(6), max_width=40)
-        assert ext_equal(identity(5), identity(5), max_width=40)
 
 
 class TestBalancedTrees:
@@ -255,6 +251,14 @@ class TestColumns:
         assert truth_columns(c, fixed={0: 1}) == [0b10]
         assert truth_columns(c, fixed={0: 0}) == [0b00]
         assert truth_columns(c, fixed={0: 1, 1: 1}) == [0b1]
+
+    def test_free_inputs_are_bounded_by_the_eval_width_budget(self, monkeypatch):
+        with pytest.raises(BudgetError, match="eval-width budget 20"):
+            truth_columns(identity(21))
+        monkeypatch.setenv("PATHCIRC_BUDGET", "eval-width=4")
+        with pytest.raises(BudgetError, match="PATHCIRC_BUDGET=eval-width=N"):
+            truth_columns(identity(5))
+        assert truth_columns(identity(5), {0: 1}) == [0xFFFF, *truth_columns(identity(4))]
 
     @pytest.mark.parametrize("fixed", [{0: 2, 1: "x"}, {0: 0.5}, {1: -1}, {0: None}])
     def test_pinned_values_must_be_bits(self, fixed):
@@ -344,7 +348,7 @@ class TestValueSemantics:
     def test_equality_hash_and_repr_ignore_the_cache(self, c):
         fresh = Circuit(c.n_inputs, c.output_map, c.kinds, c.ins)
         done = self.evaluated(c)
-        assert fresh._program is None and done._program is not None
+        assert "_program" not in vars(fresh) and "_program" in vars(done)
         assert done == fresh and hash(done) == hash(fresh) and repr(done) == repr(fresh)
 
     @pytest.mark.parametrize("c", CIRCUITS, ids=repr)
@@ -366,7 +370,7 @@ class TestValueSemantics:
         done = self.evaluated(c)
         assert pickle.dumps(done) == pickle.dumps(fresh)
         twin = pickle.loads(pickle.dumps(done))
-        assert twin._program is None and self.outputs(twin) == self.outputs(done)
+        assert "_program" not in vars(twin) and self.outputs(twin) == self.outputs(done)
 
     def test_a_circuit_is_lowered_once(self, monkeypatch):
         lowered = []

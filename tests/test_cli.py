@@ -208,27 +208,16 @@ class TestEquiv:
         assert main(["equiv", "--a", str(a), "--b", str(b)]) == 1
         assert capsys.readouterr().out.strip() == "not equal"
 
-    def test_width_budget(self, tmp_path, capsys):
+    def test_width_budget(self, tmp_path, capsys, monkeypatch):
         from pathcirc import identity
+        monkeypatch.setenv("PATHCIRC_BUDGET", "eval-width=4")
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         a.write_text(to_json(identity(6)), encoding="utf-8")
         b.write_text(to_json(identity(6)), encoding="utf-8")
-        assert main(["equiv", "--a", str(a), "--b", str(b), "--max-width", "4"]) == 1
-        assert "BudgetError" in capsys.readouterr().err
-
-    def test_max_width_cannot_raise_the_budget(self, tmp_path, capsys):
-        from pathcirc import identity
-        a = tmp_path / "a.json"
-        a.write_text(to_json(identity(22)), encoding="utf-8")
-        assert main(["equiv", "--a", str(a), "--b", str(a), "--max-width", "40"]) == 1
+        assert main(["equiv", "--a", str(a), "--b", str(b)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: BudgetError: ")
         assert "PATHCIRC_BUDGET=eval-width=N" in err
-
-    def test_negative_max_width_is_a_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exit_:
-            main(["equiv", "--a", "x", "--b", "y", "--max-width", "-1"])
-        assert exit_.value.code == 2
 
 
 def compiled(tmp_path, argv) -> dict:

@@ -151,8 +151,6 @@ def argvs(draw) -> list[str]:
     if cmd == "equiv":
         flag("--a", st.just("A"))
         flag("--b", st.sampled_from(["A", "B"]))
-        if draw(st.booleans()):
-            flag("--max-width", NUMBER)
     if cmd in ("compile", "compile-universal", "snarkize") and draw(st.booleans()):
         flag("--format", mostly(st.sampled_from(["json", "bristol"]), st.just("xml")),
              optional=False)

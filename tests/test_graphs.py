@@ -205,6 +205,15 @@ class TestHoms:
         with pytest.raises(ValidationError):
             GraphHom(AB, AB, (1, 0), (0,))
 
+    # edge 1 is a loop at b, so (1, 1) maps both edges onto it
+    LOOP = parse_graph('{"vertices":["a","b"],"edges":[["e","a","b"],["l","b","b"]]}')
+
+    @pytest.mark.parametrize("emap", [(-1, 1), (2, 1)])
+    def test_emap_out_of_range_rejected(self, emap):
+        assert GraphHom(self.LOOP, self.LOOP, (1, 1), (1, 1))
+        with pytest.raises(ValidationError, match="emap value"):
+            GraphHom(self.LOOP, self.LOOP, (1, 1), emap)
+
     def test_valid_paths_map_to_valid_paths(self):
         family = [g for n in (1, 2) for m in (0, 1, 2) for g in all_graphs(n, m)]
         for dom, cod in itertools.product(family, repeat=2):
