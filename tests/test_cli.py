@@ -219,6 +219,19 @@ class TestEquiv:
         assert err.count("\n") == 1 and err.startswith("error: BudgetError: ")
         assert "PATHCIRC_BUDGET=eval-width=N" in err
 
+    def test_max_width_cannot_raise_the_budget(self, tmp_path, capsys):
+        from pathcirc import identity
+        a = tmp_path / "a.json"
+        a.write_text(to_json(identity(22)), encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_:
+            main(["equiv", "--a", str(a), "--b", str(a), "--max-width", "40"])
+        assert exit_.value.code == 2
+        capsys.readouterr()
+        assert main(["equiv", "--a", str(a), "--b", str(a)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: BudgetError: ")
+        assert "PATHCIRC_BUDGET=eval-width=N" in err
+
 
 def compiled(tmp_path, argv) -> dict:
     out = tmp_path / "compiled.json"
