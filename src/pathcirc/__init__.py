@@ -1,7 +1,6 @@
 """pathcirc: compile finite-state-machine graphs into boolean circuits
 that verify claimed paths, ready for zk-SNARK toolchains."""
 
-from .budget import Budget
 from .circuits import (
     BitVector,
     Circuit,

@@ -300,7 +300,7 @@ class CircuitBuilder:
         self.kinds = bytearray()
         self.ins: list[int] = []
         self._next = n_inputs
-        self._limit = budget.current().gate_count
+        self._limit = budget.limit("gates")
 
     @property
     def gate_count(self) -> int:
@@ -312,7 +312,7 @@ class CircuitBuilder:
     def _emit(self, code: int, in_wires: Sequence[int]) -> int:
         """Append one gate; return its first output wire."""
         if len(self.kinds) >= self._limit:
-            budget.check_gates(len(self.kinds) + 1, "the circuit being built")
+            budget.check("gates", len(self.kinds) + 1, "the circuit being built", "gates")
         self.kinds.append(code)
         self.ins.extend(in_wires)
         w = self._next
@@ -394,7 +394,8 @@ class CircuitBuilder:
                 f"splice expects {sub.n_inputs} wires, got {len(in_wires)}"
             )
         if len(self.kinds) + len(sub.kinds) > self._limit:
-            budget.check_gates(len(self.kinds) + len(sub.kinds), "the circuit being built")
+            budget.check("gates", len(self.kinds) + len(sub.kinds), "the circuit being built",
+                         "gates")
         # wire[w] is the wire here of sub's wire w
         wire = list(in_wires)
         wire.extend(range(self._next, self._next + sub.wire_count - sub.n_inputs))
@@ -516,7 +517,7 @@ def truth_columns(c: Circuit, fixed: dict[int, int] | None = None) -> list[int]:
     fixed = fixed or {}
     free = [w for w in range(c.n_inputs) if w not in fixed]
     n = len(free)
-    budget.check_width(n, "truth_columns", "eval-width")
+    budget.check("eval-width", n, "truth_columns", "free inputs")
     size = 1 << n
     full = (1 << size) - 1
     cols = [0] * c.n_inputs
@@ -527,10 +528,12 @@ def truth_columns(c: Circuit, fixed: dict[int, int] | None = None) -> list[int]:
             raise ValueError(f"bits must be 0 or 1: {fixed!r}")
         cols[w] = full if bit else 0
     for j, w in enumerate(free):
+        # ones in the upper half of each 2*half-bit period, doubled out to `size` bits
         half = 1 << (n - 1 - j)
-        period = half << 1
-        unit = ((1 << half) - 1) << half
-        cols[w] = unit * (full // ((1 << period) - 1))
+        col, width = ((1 << half) - 1) << half, half << 1
+        while width < size:
+            col, width = col | col << width, width << 1
+        cols[w] = col
     return _run(c, cols, full)
 
 

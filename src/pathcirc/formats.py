@@ -126,8 +126,8 @@ def document_from_json(text: str) -> CircuitDocument:
     if not isinstance(doc.get("gates"), list):
         raise ParseError("gates must be a list")
     n_inputs = json_int(doc.get("n_inputs"), 0, "n_inputs")
-    budget.check_gates(n_inputs, "the circuit document", "inputs")
-    budget.check_gates(len(doc["gates"]), "the circuit document")
+    budget.check("gates", n_inputs, "the circuit document", "inputs")
+    budget.check("gates", len(doc["gates"]), "the circuit document", "gates")
     entries = doc["gates"]
     kinds, ins, outs = bytearray(), [], []
     for i, entry in enumerate(entries):

@@ -23,7 +23,7 @@ from typing import Iterable, Union
 
 from . import budget
 from .circuits import BitVector
-from .errors import BudgetError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 
 
 def _ceil_log2(n: int) -> int:
@@ -235,7 +235,7 @@ def _endpoint_table(en: Enumeration, g: Graph, pick) -> TruthTable:
     if en.graph != g:
         raise ValidationError("enumeration was derived from a different graph")
     # the budget synth applies to these tables, before any row
-    budget.check_width(en.e_bits, "a table", "synth-width")
+    budget.check("synth-width", en.e_bits, "an endpoint table", "inputs")
     zero = BitVector.zeros(en.v_bits)
     rows = []
     for value in range(1 << en.e_bits):
@@ -371,6 +371,21 @@ def parse_graph(text: str) -> Graph:
     return Graph(tuple(vertices), tuple(parsed))
 
 
+def family_size(shapes: Iterable[tuple[int, int]]) -> int | None:
+    """How many graphs have v vertices and e edges, summed over the
+    (v, e) `shapes`; None as soon as the sum passes the ``graphs``
+    limit, so that a huge family costs no huge integer."""
+    cap = budget.limit("graphs")
+    total = 0
+    for v, e in shapes:
+        # exact up to cap.bit_length() + 1 edges; past that, two or more
+        # vertices are already over the limit
+        total += v ** (2 * min(e, cap.bit_length() + 1))
+        if total > cap:
+            return None
+    return total
+
+
 def all_graphs(n: int, m: int) -> list[Graph]:
     """Every graph with exactly n vertices and m edges, in canonical order.
 
@@ -378,11 +393,8 @@ def all_graphs(n: int, m: int) -> list[Graph]:
     pairs, so there are n**(2m) graphs. Vertices are named v1..vn and
     edges e1..em.
     """
-    max_count = budget.current().graph_count
-    count = n ** (2 * m)
-    if count > max_count:
-        raise BudgetError(f"{count} graphs exceed the family budget {max_count} "
-                          f"(raise it with PATHCIRC_BUDGET=graphs=N)")
+    budget.check("graphs", family_size([(n, m)]),
+                 f"the family of graphs with {n} vertices and {m} edges", "members")
     vertices = tuple(f"v{i + 1}" for i in range(n))
     out = []
     for combo in itertools.product(itertools.product(range(n), repeat=2), repeat=m):

@@ -64,7 +64,7 @@ def _nand_all(b: CircuitBuilder, wires: list[int]) -> int:
 def synth(table: TruthTable) -> Circuit:
     """Lower a truth table to a circuit, exactly, on a shared row decoder."""
     width = table.in_width
-    budget.check_width(width, "synthesis", "synth-width")
+    budget.check("synth-width", width, "the truth table", "inputs")
     b = CircuitBuilder(width)
     ones = [[x for x, row in enumerate(table.rows) if row.bits[bit]]
             for bit in range(table.out_width)]

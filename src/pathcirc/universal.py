@@ -45,6 +45,7 @@ from .graphs import (
     all_graphs,
     edge_width,
     enumerate_graph,
+    family_size,
     source_table,
     target_table,
     vertex_width,
@@ -114,19 +115,10 @@ def valid_graphs(m: int, n: int) -> list[Graph]:
     A capacity below one vertex or zero edges is refused.
     """
     _check_capacity(m, n)
-    max_count = budget.current().graph_count
-    total = 0
-    for v in range(1, n + 1):
-        for e in range(m + 1):
-            total += v ** (2 * e)
-            if total > max_count:  # stop early: large capacities have totals too big to print
-                raise BudgetError(f"capacity ({m}, {n}) has more than {max_count} graphs, over "
-                                  f"the graph budget (raise it with PATHCIRC_BUDGET=graphs=N)")
-    out = []
-    for v in range(1, n + 1):
-        for e in range(m + 1):
-            out.extend(all_graphs(v, e))
-    return out
+    # every (v, e) adds at least one graph, so the count stops within the limit
+    shapes = ((v, e) for v in range(1, n + 1) for e in range(m + 1))
+    budget.check("graphs", family_size(shapes), f"capacity ({m}, {n})", "graphs")
+    return [g for v in range(1, n + 1) for e in range(m + 1) for g in all_graphs(v, e)]
 
 
 def _row(r: int, m: int, n: int) -> tuple[range, range, list[list[tuple[str, int]]]]:
@@ -199,7 +191,7 @@ def _refuse_over_budget(m: int, n: int, what: str) -> None:
     if its spec bus alone is wider than the gate budget. The builder
     refuses any larger circuit as its gates are emitted."""
     _check_capacity(m, n)
-    budget.check_gates(encoding_width(m, n), f"{what} at capacity ({m}, {n})", "spec wires")
+    budget.check("gates", encoding_width(m, n), f"{what} at capacity ({m}, {n})", "spec wires")
 
 
 def _lookup(m: int, n: int, side: int) -> Circuit:

@@ -133,7 +133,7 @@ def fold(step: Verifier, k: int) -> Verifier:
     if k < 1:
         raise ValueError("fold needs k >= 1")
     gates = k * step.circuit.gate_count + (k - 1) * (3 + step.spec_width)
-    budget.check_gates(gates, f"a {k}-step verifier")
+    budget.check("gates", gates, f"a {k}-step verifier", "gates")
     return _chain([step] * k)
 
 

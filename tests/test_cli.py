@@ -99,6 +99,17 @@ class TestSnarkize:
         assert main(["eval", "--circuit", str(wrapped), "--input", "011001"]) == 0
         assert capsys.readouterr().out.strip() == "0"
 
+    def test_readme_flow(self, ab_graph, tmp_path, capsys):
+        """The README's compile, snarkize and eval example, at k = 2."""
+        verifier, snark = tmp_path / "verifier.json", tmp_path / "snark.json"
+        assert main(["compile", "--graph", ab_graph, "--length", "2",
+                     "--out", str(verifier)]) == 0
+        assert main(["snarkize", "--circuit", str(verifier), "--kind", "kp",
+                     "--out", str(snark)]) == 0
+        # start a, edge e, the identity step at b, claim b -> accept
+        assert main(["eval", "--circuit", str(snark), "--input", "01100110"]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+
     def test_zkp_flow(self, tmp_path, capsys):
         compiled = tmp_path / "uv.json"
         wrapped = tmp_path / "sn.json"
@@ -387,6 +398,13 @@ class TestNoTraceback:
                        '"gates": [], "output_map": [], "metadata": {}}', encoding="utf-8")
         assert main(argv + [str(bad)]) == 1
         one_error_line(capsys, "ParseError")
+
+    @pytest.mark.parametrize("raw", ["gate=5", "gates=-1", "eval-width=x", "=5", "gates=1,,",
+                                     "-3"])
+    def test_a_bad_budget_is_one_error_line(self, ab_graph, capsys, monkeypatch, raw):
+        monkeypatch.setenv("PATHCIRC_BUDGET", raw)
+        assert main(["compile", "--graph", ab_graph, "--length", "1"]) == 1
+        one_error_line(capsys, "BudgetError")
 
     def test_encode_graph_is_bounded_by_the_synth_width(self, ab_graph, capsys, monkeypatch):
         monkeypatch.setenv("PATHCIRC_BUDGET", "synth-width=3")

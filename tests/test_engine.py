@@ -20,6 +20,7 @@ from pathcirc import (
     enumerate_graph,
     evaluate_batch,
     from_json,
+    identity,
     pad_path,
     parse_graph,
     path_oracle,
@@ -87,6 +88,12 @@ class TestAgainstReference:
         for i, c in enumerate(map(fresh, FAMILIES[family])):
             for fixed in pinnings(c, rng):
                 assert truth_columns(c, fixed) == reference_columns(c, fixed), (i, fixed)
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_input_columns(self, n):
+        c = identity(n)
+        for fixed in ({}, {w: 1 for w in range(n)[-1:]}, {w: w % 2 for w in range(0, n, 3)}):
+            assert truth_columns(c, fixed) == reference_columns(c, fixed), fixed
 
     def test_random_soup_reaches_every_kind(self):
         kinds = b"".join(c.kinds for c in RANDOM)
