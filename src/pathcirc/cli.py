@@ -197,7 +197,7 @@ def _circuit_stats(c: Circuit) -> dict:
         "nand_gates": by_kind[NAND],
         "nand_depth": nand_depth(c),
         "bristol_gates": int(bristol[0].split(" ", 1)[0]),
-        "bristol_by_op": {op: by_op[op] for op in ("AND", "INV", "EQ", "EQW")},
+        "bristol_by_op": {op: by_op[op] for op in ("AND", "XOR", "INV", "EQ", "EQW")},
     }
 
 

@@ -14,7 +14,11 @@ A NAND of two equal literals is that literal complemented and emits
 nothing either, so NOT is free and AND costs one AND gate. Any other
 NAND emits one AND over its operands made positive -- a complemented
 operand through an INV, emitted at most once per wire -- and is the
-complement of that AND. A constant is one EQ gate with a literal 0/1
+complement of that AND, with one exception. A NAND that reads two
+NANDs emitted as ANDs, where an operand literal of one is the
+complement of an operand literal of the other, is the OR of two ANDs
+that are never both 1. It is emitted as one XOR of the two AND wires,
+a positive literal. A constant is one EQ gate with a literal 0/1
 source, emitted only if the program reads it. A final block moves the
 outputs to the trailing wires the format requires: an INV for a
 complemented output, an EQW for a positive one. When a positive output
@@ -196,15 +200,25 @@ def to_bristol(c: Circuit) -> str:
             srcs.append((w,))
         return inverse[w]
 
-    for a, b in zip(left, right):
+    ands: dict[int, tuple[int, int]] = {}  # ands[v]: operand literals of NAND v, emitted as AND
+    for v, (a, b) in enumerate(zip(left, right), n_in + 2):
         la, lb = lit[a], lit[b]
         if la == lb:
             lit.append(la ^ 1)
-        else:
-            operands = (positive(la), positive(lb))
-            lit.append(2 * (n_in + len(ops)) + 1)
-            ops.append("AND")
-            srcs.append(operands)
+            continue
+        if la & lb & 1 and a in ands and b in ands:
+            x, y = ands[a], ands[b]
+            if x[0] ^ 1 in y or x[1] ^ 1 in y:
+                # a NAND of two ANDs that are never both 1 is their OR, so their XOR
+                lit.append(2 * (n_in + len(ops)))
+                ops.append("XOR")
+                srcs.append((la >> 1, lb >> 1))
+                continue
+        operands = (positive(la), positive(lb))
+        ands[v] = la, lb
+        lit.append(2 * (n_in + len(ops)) + 1)
+        ops.append("AND")
+        srcs.append(operands)
 
     next_wire = n_in + len(ops)
     outs = list(range(n_in, next_wire))

@@ -371,12 +371,15 @@ def parse_graph(text: str) -> Graph:
     return Graph(tuple(vertices), tuple(parsed))
 
 
-def family_size(shapes: Iterable[tuple[int, int]]) -> int | None:
+def family_size(shapes: Iterable[tuple[int, int]], graphs: int = 0) -> int | None:
     """How many graphs have v vertices and e edges, summed over the
-    (v, e) `shapes`; None as soon as the sum passes the ``graphs``
-    limit, so that a huge family costs no huge integer."""
+    (v, e) `shapes`, plus `graphs` counted in closed form; None as soon
+    as the sum passes the ``graphs`` limit, so that a huge family costs
+    no huge integer."""
     cap = budget.limit("graphs")
-    total = 0
+    total = graphs
+    if total > cap:
+        return None
     for v, e in shapes:
         # exact up to cap.bit_length() + 1 edges; past that, two or more
         # vertices are already over the limit

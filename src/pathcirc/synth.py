@@ -1,16 +1,18 @@
 """Lowering truth tables and table-like functions to circuits.
 
-Tables are lowered on one row decoder that all output bits share. Only
-the rows that are 1 in some non-constant output are decoded: the input
-bus is split in halves, recursively, each half-pattern is decoded once,
-and one gate per row joins its two halves. The top level emits each
-row complemented (a single NAND of its halves), fanned out to the
-output bits it sets; an output bit is then the NAND of two balanced
-AND trees over its complemented rows, which is the OR of those rows.
-Constant output bits are single TRUE or FALSE gates. The named
-circuits built here -- the source/target lookups of a graph, the
-nonzero-aware MATCH comparator and the single-point filters -- are the
-building blocks of every verifier in the package.
+A table is lowered as one reduced ordered binary decision diagram
+(ROBDD, Bryant 1986) that all its output bits share. Inputs are read
+MSB first, so input wire 0 is the top variable. A node on input s with
+children hi (s = 1) and lo (s = 0) is built once per distinct
+(s, hi, lo) and is a multiplexer, NAND(NAND(s, hi), NAND(NOT s, lo)),
+unless a child is constant: then it is the literal s or NOT s, an AND
+of a literal with the other child, or an OR, NAND(literal, NOT child).
+The nodes are emitted children first, each fanned out once to all its
+readers; each input fans out to its positive reads and to one NOT that
+fans out to its negative reads. A constant output bit is one TRUE or
+FALSE gate. The named circuits built here -- the source/target lookups
+of a graph, the nonzero-aware MATCH comparator and the single-point
+filters -- are the building blocks of every verifier in the package.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import budget
-from .circuits import BitVector, Circuit, CircuitBuilder
+from .circuits import _DIGITS, BitVector, Circuit, CircuitBuilder
 from .graphs import Enumeration, Graph, TruthTable, source_table, target_table
 
 __all__ = [
@@ -32,55 +34,62 @@ __all__ = [
 ]
 
 
-def _rows(b: CircuitBuilder, bus: list[int], demand: Counter, join=None) -> dict[int, list[int]]:
-    """Decode the patterns of `bus` (integers, MSB first) that `demand`
-    counts: ``demand[p]`` wires for pattern ``p``, each carrying
-    ``join`` of its halves' minterms (AND by default, so ``[bus == p]``).
-    A one-wire bus has no halves: it is its own minterm for 1, and its
-    negation for 0."""
-    if len(bus) == 1:
-        ones, zeros = demand[1], demand[0]
-        wires = b.fanout(bus[0], ones + (zeros > 0))
-        return {1: wires[:ones], 0: b.fanout(b.not_(wires[-1]), zeros) if zeros else []}
-    half = (len(bus) + 1) // 2
-    low = len(bus) - half
-    mask = (1 << low) - 1
-    his = _rows(b, bus[:half], Counter(p >> low for p in demand))
-    los = _rows(b, bus[half:], Counter(p & mask for p in demand))
-    join = join or b.and_
-    return {p: b.fanout(join(his[p >> low].pop(), los[p & mask].pop()), n)
-            for p, n in demand.items()}
-
-
-def _nand_all(b: CircuitBuilder, wires: list[int]) -> int:
-    """NOT of the AND of the wires: the NAND of two balanced AND trees,
-    which is the OR of the wires' complements."""
-    if len(wires) == 1:
-        return b.not_(wires[0])
-    half = len(wires) // 2
-    return b.nand(b.and_chain(wires[:half]), b.and_chain(wires[half:]))
-
-
 def synth(table: TruthTable) -> Circuit:
-    """Lower a truth table to a circuit, exactly, on a shared row decoder."""
+    """Lower a truth table to a circuit, exactly, as one shared ROBDD."""
     width = table.in_width
     budget.check("synth-width", width, "the truth table", "inputs")
-    b = CircuitBuilder(width)
-    ones = [[x for x, row in enumerate(table.rows) if row.bits[bit]]
-            for bit in range(table.out_width)]
-    live = [xs for xs in ones if 0 < len(xs) < len(table.rows)]
-    demand = Counter(x for xs in live for x in xs)
-    # complemented rows, except on a one-wire bus, whose rows are minterms
-    rows = _rows(b, b.inputs(), demand, b.nand) if demand else {}
-    outputs = []
-    for xs in ones:
-        if not xs or len(xs) == len(table.rows):
-            outputs.append(b.true() if xs else b.false())
-        elif width == 1:
-            outputs.append(rows[xs[0]].pop())
+    # unique[(s, hi, lo)] is the id of that node; 0 and 1 are the constants
+    unique: dict[tuple[int, int, int], int] = {}
+    memo: dict[tuple[int, int], int] = {}
+
+    def node(s: int, column: int) -> int:
+        """The node of the function of inputs s.. whose truth table is
+        `column`: bit x is its value where those inputs, MSB first, read x."""
+        if s == width:
+            return column
+        key = s, column
+        if key not in memo:
+            half = 1 << (width - 1 - s)
+            hi, lo = node(s + 1, column >> half), node(s + 1, column & ((1 << half) - 1))
+            memo[key] = hi if hi == lo else unique.setdefault((s, hi, lo), len(unique) + 2)
+        return memo[key]
+
+    roots = [node(0, int(bytes(bits).translate(_DIGITS), 2))
+             for bits in zip(*(row.bits for row in reversed(table.rows)))]
+    reads = Counter(roots) + Counter(child for _, hi, lo in unique for child in (hi, lo))
+    # reads of each input's two literals: a literal node is read where it
+    # is read, a node with a constant child reads s (if lo is constant) or
+    # NOT s (if hi is), and a multiplexer reads both
+    positive, negative = [0] * width, [0] * width
+    for (s, hi, lo), n in unique.items():
+        if hi < 2 and lo < 2:
+            (positive if hi else negative)[s] += reads[n]
         else:
-            outputs.append(_nand_all(b, [rows[x].pop() for x in xs]))
-    return b.finish(outputs)
+            positive[s] += hi > 1
+            negative[s] += lo > 1
+    b = CircuitBuilder(width)
+    literals = []
+    for s, (p, q) in enumerate(zip(positive, negative)):
+        fan = b.fanout(s, p + (q > 0)) if p + q else []
+        literals.append((fan[:p], b.fanout(b.not_(fan[-1]), q) if q else []))
+    wires: dict[int, list[int]] = {}
+    for (s, hi, lo), n in unique.items():  # in creation order, so children first
+        pos, neg = literals[s]
+        if hi < 2 and lo < 2:
+            wires[n] = pos if hi else neg
+            continue
+        if lo == 0:
+            w = b.and_(pos.pop(), wires[hi].pop())
+        elif hi == 0:
+            w = b.and_(neg.pop(), wires[lo].pop())
+        elif hi == 1:
+            w = b.nand(neg.pop(), b.not_(wires[lo].pop()))
+        elif lo == 1:
+            w = b.nand(pos.pop(), b.not_(wires[hi].pop()))
+        else:
+            w = b.nand(b.nand(pos.pop(), wires[hi].pop()), b.nand(neg.pop(), wires[lo].pop()))
+        wires[n] = b.fanout(w, reads[n])
+    return b.finish([wires[n].pop() if n > 1 else b.true() if n else b.false() for n in roots])
 
 
 def match_circuit(width: int) -> Circuit:

@@ -50,7 +50,6 @@ from .graphs import (
     target_table,
     vertex_width,
 )
-from .synth import _nand_all, _rows
 from .verifiers import (Verifier, assemble_step, compose, empty_walk, fold, snarkize,
                         verifier_identity)
 
@@ -115,10 +114,38 @@ def valid_graphs(m: int, n: int) -> list[Graph]:
     A capacity below one vertex or zero edges is refused.
     """
     _check_capacity(m, n)
-    # every (v, e) adds at least one graph, so the count stops within the limit
-    shapes = ((v, e) for v in range(1, n + 1) for e in range(m + 1))
-    budget.check("graphs", family_size(shapes), f"capacity ({m}, {n})", "graphs")
+    # a shape with one vertex or no edges has one graph, m + n of them in
+    # all; every other shape adds at least 4, so the count stops within the limit
+    shapes = ((v, e) for v in range(2, n + 1) for e in range(1, m + 1))
+    budget.check("graphs", family_size(shapes, m + n), f"capacity ({m}, {n})", "graphs")
     return [g for v in range(1, n + 1) for e in range(m + 1) for g in all_graphs(v, e)]
+
+
+def _rows(b: CircuitBuilder, bus: list[int], demand: Counter) -> dict[int, list[int]]:
+    """Decode the patterns of `bus` (integers, MSB first) that `demand`
+    counts: ``demand[p]`` wires for pattern ``p``, each carrying the AND
+    of its halves' minterms, so ``[bus == p]``. A one-wire bus has no
+    halves: it is its own minterm for 1, and its negation for 0."""
+    if len(bus) == 1:
+        ones, zeros = demand[1], demand[0]
+        wires = b.fanout(bus[0], ones + (zeros > 0))
+        return {1: wires[:ones], 0: b.fanout(b.not_(wires[-1]), zeros) if zeros else []}
+    half = (len(bus) + 1) // 2
+    low = len(bus) - half
+    mask = (1 << low) - 1
+    his = _rows(b, bus[:half], Counter(p >> low for p in demand))
+    los = _rows(b, bus[half:], Counter(p & mask for p in demand))
+    return {p: b.fanout(b.and_(his[p >> low].pop(), los[p & mask].pop()), n)
+            for p, n in demand.items()}
+
+
+def _nand_all(b: CircuitBuilder, wires: list[int]) -> int:
+    """NOT of the AND of the wires: the NAND of two balanced AND trees,
+    which is the OR of the wires' complements."""
+    if len(wires) == 1:
+        return b.not_(wires[0])
+    half = len(wires) // 2
+    return b.nand(b.and_chain(wires[:half]), b.and_chain(wires[half:]))
 
 
 def _row(r: int, m: int, n: int) -> tuple[range, range, list[list[tuple[str, int]]]]:

@@ -3,6 +3,8 @@ refusal that names the key raising it."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from pathcirc import BudgetError, all_graphs, and_gate, truth_columns, valid_graphs
@@ -90,3 +92,23 @@ def test_valid_graphs_count_every_shape(monkeypatch):
 def test_a_huge_capacity_is_refused_within_the_limit():
     with pytest.raises(BudgetError, match="PATHCIRC_BUDGET=graphs=N"):
         valid_graphs(10**9, 10**9)
+
+
+def test_family_size_adds_the_graphs_counted_in_closed_form(monkeypatch):
+    monkeypatch.setenv("PATHCIRC_BUDGET", "graphs=7")
+    assert family_size([(2, 1)], 3) == 7
+    assert family_size([(2, 1)], 4) is None
+    # over the limit before the first shape, which is never read
+    assert family_size((pytest.fail("a shape was read") for _ in [0]), 8) is None
+
+
+@pytest.mark.parametrize("m, n", [(10**6, 10**6), (0, 10**6), (10**6, 1)])
+def test_a_huge_capacity_is_refused_at_once(m, n):
+    # the shapes with one vertex or no edges are counted in closed form
+    fastest = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=rf"^capacity \({m}, {n}\) has more than 65536 graphs"):
+            valid_graphs(m, n)
+        fastest = min(fastest, time.perf_counter() - start)
+    assert fastest < 0.01

@@ -345,14 +345,14 @@ class TestLibraryGateBudget:
         assert "BudgetError" in capsys.readouterr().err
 
     def test_snarkize_is_refused_over_the_budget(self, tmp_path, capsys, monkeypatch):
-        # the 2-step verifier fits 133 gates; its snark circuit has 167
+        # the 2-step verifier fits 107 gates; its snark circuit has 141
         graph = tmp_path / "cycle.json"
         graph.write_text('{"vertices":["a","b"],"edges":[["e","a","b"],["f","b","a"]]}',
                          encoding="utf-8")
-        monkeypatch.setenv("PATHCIRC_BUDGET", "gates=133")
+        monkeypatch.setenv("PATHCIRC_BUDGET", "gates=107")
         out, snark = tmp_path / "pv.json", tmp_path / "snark.json"
         assert main(["compile", "--graph", str(graph), "--length", "2", "--out", str(out)]) == 0
-        assert len(json.loads(out.read_text())["gates"]) == 133
+        assert len(json.loads(out.read_text())["gates"]) == 107
         capsys.readouterr()
         assert main(["snarkize", "--circuit", str(out), "--kind", "kp",
                      "--out", str(snark)]) == 1

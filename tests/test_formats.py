@@ -9,7 +9,7 @@ from random import Random
 import pytest
 
 from bristol_ref import run_bristol
-from helpers import bv, de_bruijn, random_circuit
+from helpers import bv, de_bruijn, random_circuit, random_multigraph
 from pathcirc import (
     BitVector,
     CircuitBuilder,
@@ -18,6 +18,7 @@ from pathcirc import (
     and_gate,
     document_from_json,
     enumerate_graph,
+    evaluate_batch,
     from_json,
     identity,
     match_circuit,
@@ -63,6 +64,14 @@ def random_circuits():
     rng = Random(2024)
     return [random_circuit(rng, rng.randrange(6), rng.randrange(1, 5), max_gates=40)
             for _ in range(12)]
+
+
+def benchmark_verifier(name: str):
+    """The path verifier of one of the benchmark's two fixed-graph workloads."""
+    graph, k = {"long-walk": (de_bruijn(3), 8),
+                "wide-graph": (random_multigraph(32, 64, Random(1909)), 1)}[name]
+    g = parse_graph(json.dumps(graph))
+    return path_verifier(g, enumerate_graph(g), k)
 
 
 def gate_lines(text: str) -> list[str]:
@@ -243,3 +252,36 @@ class TestBristol:
             assert run_bristol(text, str(inp)) == expected
             verdicts.add(expected)
         assert verdicts == {"0", "1"}
+
+    @pytest.mark.parametrize("name", ["long-walk", "wide-graph"])
+    def test_reference_interpreter_agrees_on_the_benchmark_verifiers(self, name):
+        pv = benchmark_verifier(name)
+        rng = Random(256)
+        for c in (pv.circuit, snarkize(pv)):
+            text = to_bristol(c)
+            vectors = [BitVector.from_int(rng.getrandbits(c.n_inputs), c.n_inputs)
+                       for _ in range(256)]
+            for inp, out in zip(vectors, evaluate_batch(c, vectors)):
+                assert run_bristol(text, str(inp)) == str(out)
+
+    def test_an_or_of_two_disjoint_ands_is_one_xor(self):
+        # a multiplexer: (s AND x) OR (NOT s AND y)
+        b = CircuitBuilder(3)
+        s1, s2 = b.copy(0)
+        c = b.finish([b.nand(b.nand(s1, 1), b.nand(b.not_(s2), 2))])
+        text = to_bristol(c)
+        assert ops(text) == {"AND": 2, "INV": 1, "XOR": 1}
+        for x in range(8):
+            inp = BitVector.from_int(x, 3)
+            assert run_bristol(text, str(inp)) == str(c.evaluate(inp))
+
+    def test_an_or_of_two_overlapping_ands_is_no_xor(self):
+        b = CircuitBuilder(4)
+        c = b.finish([b.nand(b.nand(0, 1), b.nand(2, 3))])
+        assert ops(to_bristol(c)) == {"AND": 3, "INV": 3}
+
+    def test_the_wide_graph_snark_has_xors_and_no_more_ands_than_nands(self):
+        c = snarkize(benchmark_verifier("wide-graph"))
+        counts = ops(to_bristol(c))
+        assert counts["XOR"] >= 1
+        assert counts["AND"] <= c.kinds.count(CODE[NAND])

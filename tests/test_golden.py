@@ -39,9 +39,9 @@ def sha256(circuit) -> str:
 
 
 @pytest.mark.parametrize("k, digest", [
-    (0, "36439e5db2dee52f41758a5e53cc1ec79e2011ecd6a55cc9193506627111388a"),
-    (1, "e1b2acefdf6a7dbc97db0102869fc44dae6824582361971a0c7dc19d228ef107"),
-    (3, "905399538e104be73edd9b092301b79e920546e842fd147582fa41bc014ea68f"),
+    (0, "ead314decb06a01f6e4a79b2d9e66f97766786a6a9feda600075a5762702df3f"),
+    (1, "000c7b236ddce0144db12557ddd9d87b92d37343da175ffebf1330c9c3fd8ebd"),
+    (3, "8fb83931f1e18ece759319cd7ae4a10fa887ee9607590f0e652d96018e703827"),
 ])
 def test_path_verifier(k, digest):
     assert sha256(path_verifier(ABC, enumerate_graph(ABC), k).circuit) == digest
@@ -49,13 +49,13 @@ def test_path_verifier(k, digest):
 
 def test_path_verifier_long_fold():
     assert sha256(path_verifier(ABC, enumerate_graph(ABC), 8).circuit) == \
-        "899a67560826e05a21d48770887dcbc7fd5009fd6b6e96d02b07896169a67d2d"
+        "81a58ddb43737d3f4554070e9482b1d323d2942433b55863c0c384b4ad8ef241"
 
 
 def test_snarkized_path_verifier():
     pv = path_verifier(ABC, enumerate_graph(ABC), 3)
     assert sha256(snarkize(pv)) == \
-        "6f99536cc23a7daae33a899631d0c2b9fea45841b83cdc0d204101aadd31e6c0"
+        "0ee843c667629428859e8cb4fa4d99e8f58370f2d70a15cda495849c3ab4ef30"
 
 
 @pytest.mark.parametrize("k, digest", [
@@ -77,8 +77,8 @@ def test_universal_verifier_nested_fold(m, n, digest):
 
 
 @pytest.mark.parametrize("step, digest", [
-    (EdgeStep(0), "56da2c2f2972eddbede40b47fb5892f20534c6158e66654a6aef0e31b7560a46"),
-    (IdStep(1), "531acc23b48f1c2b8c9cf74d614141f14977b0d08d52467e22eaa2a08256b5f3"),
+    (EdgeStep(0), "f4ca2e82d73b67af3e83cbfa979a14be81831aad6bf5ae4b1b0e26ea13d42df1"),
+    (IdStep(1), "0a8599ba62eef528f867f97c4a389507650d24a398b3951c9bd9f7b79da86082"),
 ])
 def test_edge_evaluator(step, digest):
     assert sha256(edge_evaluator(ABC, enumerate_graph(ABC), step).circuit) == digest

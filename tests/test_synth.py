@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import json
 from itertools import product
 from random import Random
 
 import pytest
 
-from helpers import bv
+from helpers import bv, de_bruijn
 from pathcirc import (
     BitVector,
     BudgetError,
@@ -20,6 +21,7 @@ from pathcirc import (
     filter_circuit,
     identity,
     match_circuit,
+    parse_graph,
     source_circuit,
     source_table,
     synth,
@@ -162,6 +164,51 @@ class TestDecoder:
                     total += synth(source_table(en, g)).gate_count
                     total += synth(target_table(en, g)).gate_count
         assert total <= 84_022
+
+
+def table_of_columns(in_width: int, columns: list[int]) -> TruthTable:
+    """The table whose output bit j on input x is bit x of columns[j]."""
+    return TruthTable(in_width, len(columns), tuple(
+        BitVector(tuple((col >> x) & 1 for col in columns)) for x in range(1 << in_width)))
+
+
+class TestSharedDiagram:
+    def test_every_small_graph_table(self):
+        for n in range(4):
+            for m in range(4):
+                for g in all_graphs(n, m):
+                    en = enumerate_graph(g)
+                    for table in (source_table(en, g), target_table(en, g)):
+                        assert truth_columns(synth(table)) == table_columns(table)
+
+    def test_random_tables_with_constant_and_duplicate_bits(self):
+        rng = Random(10)
+        for in_width in range(11):
+            full = (1 << (1 << in_width)) - 1
+            for _ in range(6):
+                columns = []
+                for _ in range(rng.randrange(1, 5)):
+                    kind = rng.randrange(4)
+                    columns.append(0 if kind == 0 else full if kind == 1 else
+                                   rng.choice(columns) if kind == 2 and columns else
+                                   rng.getrandbits(1 << in_width))
+                table = table_of_columns(in_width, columns)
+                assert truth_columns(synth(table)) == columns
+
+    def test_a_repeated_output_bit_costs_one_more_read(self):
+        rng = Random(11)
+        for in_width in range(7):
+            for _ in range(8):
+                column = rng.getrandbits(1 << in_width)
+                once = synth(table_of_columns(in_width, [column])).gate_count
+                twice = synth(table_of_columns(in_width, [column, column])).gate_count
+                assert twice <= once + 1
+
+    def test_de_bruijn_lookups(self):
+        # B(2, 3): 8 id codes and 16 edges on 5 bits, 4-bit vertex codes
+        g = parse_graph(json.dumps(de_bruijn(3)))
+        en = enumerate_graph(g)
+        assert source_circuit(g, en).gate_count + target_circuit(g, en).gate_count == 182
 
 
 MATCH2_ROWS = [
