@@ -200,14 +200,15 @@ def to_bristol(c: Circuit) -> str:
             srcs.append((w,))
         return inverse[w]
 
-    ands: dict[int, tuple[int, int]] = {}  # ands[v]: operand literals of NAND v, emitted as AND
-    for v, (a, b) in enumerate(zip(left, right), n_in + 2):
+    ands: dict[int, tuple[int, int]] = {}  # ands[w]: operand literals of the AND on wire w
+    for a, b in zip(left, right):
         la, lb = lit[a], lit[b]
         if la == lb:
             lit.append(la ^ 1)
             continue
-        if la & lb & 1 and a in ands and b in ands:
-            x, y = ands[a], ands[b]
+        # an odd literal on an AND's wire is that AND's complement, whatever NANDs led there
+        if la & lb & 1 and la >> 1 in ands and lb >> 1 in ands:
+            x, y = ands[la >> 1], ands[lb >> 1]
             if x[0] ^ 1 in y or x[1] ^ 1 in y:
                 # a NAND of two ANDs that are never both 1 is their OR, so their XOR
                 lit.append(2 * (n_in + len(ops)))
@@ -215,7 +216,7 @@ def to_bristol(c: Circuit) -> str:
                 srcs.append((la >> 1, lb >> 1))
                 continue
         operands = (positive(la), positive(lb))
-        ands[v] = la, lb
+        ands[n_in + len(ops)] = la, lb
         lit.append(2 * (n_in + len(ops)) + 1)
         ops.append("AND")
         srcs.append(operands)

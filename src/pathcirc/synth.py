@@ -1,23 +1,27 @@
 """Lowering truth tables and table-like functions to circuits.
 
-A table is lowered as one reduced ordered binary decision diagram
-(ROBDD, Bryant 1986) that all its output bits share. Inputs are read
-MSB first, so input wire 0 is the top variable. A node on input s with
-children hi (s = 1) and lo (s = 0) is built once per distinct
-(s, hi, lo) and is a multiplexer, NAND(NAND(s, hi), NAND(NOT s, lo)),
-unless a child is constant: then it is the literal s or NOT s, an AND
-of a literal with the other child, or an OR, NAND(literal, NOT child).
-The nodes are emitted children first, each fanned out once to all its
-readers; each input fans out to its positive reads and to one NOT that
-fans out to its negative reads. A constant output bit is one TRUE or
-FALSE gate. The named circuits built here -- the source/target lookups
-of a graph, the nonzero-aware MATCH comparator and the single-point
-filters -- are the building blocks of every verifier in the package.
+A table is lowered by :func:`robdd` as one reduced ordered binary
+decision diagram (ROBDD, Bryant 1986) that all its output bits share.
+Its select wires are read MSB first (in :func:`synth`, the inputs, so
+input wire 0 is the top variable), and a terminal is a constant or a
+wire w of the circuit, such as a universal spec bit: the literal node
+(w, 1, 0). A node on wire s with children hi (s = 1) and lo (s = 0) is
+built once per distinct (s, hi, lo) and is a multiplexer,
+NAND(NAND(s, hi), NAND(NOT s, lo)), unless a child is constant: then
+it is the literal s or NOT s, an AND of a literal with the other child,
+or an OR, NAND(literal, NOT child). The nodes are emitted children
+first, each fanned out once to all its readers; each wire fans out to
+its positive reads and to one NOT that fans out to its negative reads.
+A constant output bit is one TRUE or FALSE gate. The named circuits
+built here -- the source/target lookups of a graph, the nonzero-aware
+MATCH comparator and the single-point filters -- are the building
+blocks of every verifier in the package.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 
 from . import budget
 from .circuits import _DIGITS, BitVector, Circuit, CircuitBuilder
@@ -26,6 +30,7 @@ from .graphs import Enumeration, Graph, TruthTable, source_table, target_table
 __all__ = [
     "TruthTable",
     "synth",
+    "robdd",
     "match_circuit",
     "filter_circuit",
     "assigned_vertex_circuit",
@@ -36,42 +41,53 @@ __all__ = [
 
 def synth(table: TruthTable) -> Circuit:
     """Lower a truth table to a circuit, exactly, as one shared ROBDD."""
-    width = table.in_width
-    budget.check("synth-width", width, "the truth table", "inputs")
-    # unique[(s, hi, lo)] is the id of that node; 0 and 1 are the constants
-    unique: dict[tuple[int, int, int], int] = {}
+    budget.check("synth-width", table.in_width, "the truth table", "inputs")
+    b = CircuitBuilder(table.in_width)
+    columns = [int(bytes(bits).translate(_DIGITS), 2)
+               for bits in zip(*(row.bits for row in reversed(table.rows)))]
+    return b.finish(robdd(b, b.inputs(), columns))
+
+
+def robdd(b: CircuitBuilder, selects: list[int], columns: list[int],
+          leaves: Sequence[int] = (), k: int = 1) -> list[int]:
+    """Emit into `b` one shared ROBDD of `columns` over the wires
+    `selects`, read MSB first; return a wire per column. Bits x*k ..
+    x*k + k - 1 of a column are its terminal where the selects read x:
+    0 or 1 for that constant, 2 + i for the wire ``leaves[i]`` of `b` (distinct)."""
+    width = len(selects)
+    # unique[(wire, hi, lo)]: that node's id; 0, 1 the constants, 2 + i the leaf i
+    unique = {(w, 1, 0): i for i, w in enumerate(leaves, 2)}
     memo: dict[tuple[int, int], int] = {}
 
     def node(s: int, column: int) -> int:
-        """The node of the function of inputs s.. whose truth table is
-        `column`: bit x is its value where those inputs, MSB first, read x."""
+        """The node of the function of selects s.. whose terminals are `column`."""
         if s == width:
             return column
         key = s, column
         if key not in memo:
-            half = 1 << (width - 1 - s)
+            half = k << (width - 1 - s)
             hi, lo = node(s + 1, column >> half), node(s + 1, column & ((1 << half) - 1))
-            memo[key] = hi if hi == lo else unique.setdefault((s, hi, lo), len(unique) + 2)
+            memo[key] = hi if hi == lo else unique.setdefault((selects[s], hi, lo),
+                                                              len(unique) + 2)
         return memo[key]
 
-    roots = [node(0, int(bytes(bits).translate(_DIGITS), 2))
-             for bits in zip(*(row.bits for row in reversed(table.rows)))]
+    roots = [node(0, column) for column in columns]
     reads = Counter(roots) + Counter(child for _, hi, lo in unique for child in (hi, lo))
-    # reads of each input's two literals: a literal node is read where it
+    # reads of each wire's two literals: a literal node is read where it
     # is read, a node with a constant child reads s (if lo is constant) or
     # NOT s (if hi is), and a multiplexer reads both
-    positive, negative = [0] * width, [0] * width
+    positive, negative = Counter(), Counter()
     for (s, hi, lo), n in unique.items():
         if hi < 2 and lo < 2:
             (positive if hi else negative)[s] += reads[n]
         else:
             positive[s] += hi > 1
             negative[s] += lo > 1
-    b = CircuitBuilder(width)
-    literals = []
-    for s, (p, q) in enumerate(zip(positive, negative)):
+    literals = {}
+    for s in dict.fromkeys([*selects, *leaves]):
+        p, q = positive[s], negative[s]
         fan = b.fanout(s, p + (q > 0)) if p + q else []
-        literals.append((fan[:p], b.fanout(b.not_(fan[-1]), q) if q else []))
+        literals[s] = fan[:p], b.fanout(b.not_(fan[-1]), q) if q else []
     wires: dict[int, list[int]] = {}
     for (s, hi, lo), n in unique.items():  # in creation order, so children first
         pos, neg = literals[s]
@@ -89,7 +105,7 @@ def synth(table: TruthTable) -> Circuit:
         else:
             w = b.nand(b.nand(pos.pop(), wires[hi].pop()), b.nand(neg.pop(), wires[lo].pop()))
         wires[n] = b.fanout(w, reads[n])
-    return b.finish([wires[n].pop() if n > 1 else b.true() if n else b.false() for n in roots])
+    return [wires[n].pop() if n > 1 else b.true() if n else b.false() for n in roots]
 
 
 def match_circuit(width: int) -> Circuit:

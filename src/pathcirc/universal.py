@@ -4,10 +4,10 @@ Instead of hardwiring one graph's source/target tables, the circuits
 here take the tables themselves as an extra input bus: a graph within
 capacity (at most ``m`` edges and ``n`` vertices) is serialised into a
 fixed-width bitstring. That spec bus *is* the two tables, so a
-universal lookup is a multiplexer over it: the edge code is decoded
-into one select per table row, and each output bit is the OR over rows
-of (select AND spec bit). Only the first n + m rows are read, because a
-valid spec leaves the others zero. The result is ANDed with a
+universal lookup is the fixed-graph lookup, :func:`~pathcirc.synth.robdd`
+over the edge code, with spec wires as leaves: row r < n + m ends in the
+spec wire of its bit, and the rows above in 0, as a valid spec leaves
+them zero. The result is ANDed with a
 structural validity check of the spec (:func:`_spec_valid`), so a spec
 that encodes no graph within capacity yields all zeros, which the
 MATCH stage rejects. The check decodes each table cell once and flags
@@ -18,11 +18,11 @@ come only after identity rows, zero rows only before zero rows; a
 nonzero row r > m has an identity row at r - m, so at most m edge rows
 follow the identity rows; an edge code x needs row x - 1 to be an
 identity row; and the rows from n + m on are zero. The k = 0
-assigned-vertex check is a multiplexer too: a state s is assigned iff
-the spec is valid and row s - 1 is an identity row. The verifiers
-built here are the :class:`~pathcirc.verifiers.Verifier` shape with
-the encoding on the spec bus; a fixed-graph verifier is the same shape
-with an empty one.
+assigned-vertex check is that lowering over the state, with the
+identity-row flags as leaves: a state s is assigned iff the spec is
+valid and row s - 1 is an identity row. The verifiers built here are
+the :class:`~pathcirc.verifiers.Verifier` shape with the encoding on
+the spec bus; a fixed-graph verifier is the same shape with an empty one.
 
 Every circuit here is polynomial in the capacity. A capacity whose
 spec bus alone is wider than the gate budget is refused before any gate
@@ -50,6 +50,7 @@ from .graphs import (
     target_table,
     vertex_width,
 )
+from .synth import robdd
 from .verifiers import (Verifier, assemble_step, compose, empty_walk, fold, snarkize,
                         verifier_identity)
 
@@ -233,10 +234,10 @@ def _lookup(m: int, n: int, side: int) -> Circuit:
     end = start + used * v_bits
     checked, table = b.fanout_bus(spec[start:end], 2)
     valid, _ = _spec_valid(b, spec[:start] + checked + spec[end:], m, n)
-    selects = _rows(b, edge, Counter({r: v_bits for r in range(used)}))
-    # bit j: the OR over rows of (select AND the row's bit j)
-    out = [_nand_all(b, [b.nand(selects[r].pop(), x) for r, x in enumerate(table[j::v_bits])])
-           for j in range(v_bits)]
+    # bit j of row r < n + m is the leaf table[r * v_bits + j], terminal id 2 + that index
+    k = (len(table) + 1).bit_length()
+    out = robdd(b, edge, [sum(i + 2 << r * k for r, i in enumerate(range(j, len(table), v_bits)))
+                          for j in range(v_bits)], table, k)
     return b.finish([b.and_(on, bit) for on, bit in zip(b.fanout(valid, v_bits), out)])
 
 
@@ -273,8 +274,9 @@ def _assigned(m: int, n: int) -> Circuit:
     f_bits = encoding_width(m, n)
     b = CircuitBuilder(f_bits + vertex_width(n))
     valid, ids = _spec_valid(b, b.inputs()[:f_bits], m, n, identities=True)
-    selects = _rows(b, b.inputs()[f_bits:], Counter(range(1, n + 1)))
-    hit = _nand_all(b, [b.nand(selects[s].pop(), ids[s - 1]) for s in range(1, n + 1)])
+    # code s in 1..n reads the leaf ids[s - 1], terminal id s + 1
+    k = (n + 1).bit_length()
+    (hit,) = robdd(b, b.inputs()[f_bits:], [sum(s + 1 << s * k for s in range(1, n + 1))], ids, k)
     return b.finish([b.and_(valid, hit)])
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from . import budget
 from .circuits import BitVector, Circuit, CircuitBuilder
 from .errors import LengthError, ValidationError, WidthError
-from .graphs import Enumeration, Graph, IdStep, Path, Step
+from .graphs import Enumeration, Graph, Path, Step, path_end
 from .synth import assigned_vertex_circuit, match_circuit, source_circuit, target_circuit
 
 
@@ -195,11 +195,7 @@ def pad_path(en: Enumeration, p: Path, k: int) -> list[BitVector]:
     if len(p.steps) > k:
         raise LengthError(f"path has {len(p.steps)} steps, verifier takes {k}")
     codes = [en.step_code(s) for s in p.steps]
-    end = p.start
-    for s in p.steps:
-        end = s.vertex if isinstance(s, IdStep) else en.graph.edges[s.edge].tgt
-    codes += [en.identity_code(end)] * (k - len(p.steps))
-    return codes
+    return codes + [en.identity_code(path_end(en.graph, p))] * (k - len(p.steps))
 
 
 def snarkize(f: Verifier) -> Circuit:

@@ -60,7 +60,7 @@ def test_snarkized_path_verifier():
 
 @pytest.mark.parametrize("k, digest", [
     (0, "bfb3c961bc62aa077c383c15dcd81a4e22536706d852bddf3bd6427d96561ff9"),
-    (2, "9723f08e9e291615bde032b82517d46bae592acb88d69b732a615fe7e496b166"),
+    (2, "9d0722aaf422725c34a69cc722afa983ead8c16f963b2093c360731577014b28"),
 ])
 def test_universal_verifier(k, digest):
     assert sha256(universal_verifier(1, 1, k).circuit) == digest
@@ -69,8 +69,8 @@ def test_universal_verifier(k, digest):
 # k = 3 is the smallest fold that is not a single compose: one three-way
 # spec fan-out, and both flag ANDs after the last step.
 @pytest.mark.parametrize("m, n, digest", [
-    (1, 1, "9bddcf7f52f89be28480c0c497b98f30391f943ddced5ae7637847fba55e9b0f"),
-    (2, 2, "a08edd945ebee0a98979b59e1f0cf3f83fdc1e26257c96ab781f0351f8aa559b"),
+    (1, 1, "e1f67365cf06c2a19ab2e1183e2e6f35671292b9052fba9748930bd05a6d5863"),
+    (2, 2, "857ee6490012da75034f755d15d833b4041d3254916ef44e7ed9452e4ac80920"),
 ])
 def test_universal_verifier_nested_fold(m, n, digest):
     assert sha256(universal_verifier(m, n, 3).circuit) == digest

@@ -7,6 +7,8 @@ from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import bv, de_bruijn
 from pathcirc import (
@@ -31,6 +33,7 @@ from pathcirc import (
 )
 from pathcirc.circuits import CODE, FALSE, TRUE, nand_depth
 from pathcirc.graphs import Graph, vertex_width
+from pathcirc.synth import robdd
 
 
 def random_table(rng: Random, in_width: int, out_width: int) -> TruthTable:
@@ -230,6 +233,33 @@ MATCH2_ROWS = [
     ("10", "11", 0),
     ("11", "11", 1),
 ]
+
+
+class TestWireLeaves:
+    """``robdd`` with wires of the builder as terminals, as the universal
+    lookups use it: each row of a column is 0, 1 or a leaf wire."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_columns_mixing_constants_and_input_wires(self, data):
+        width = data.draw(st.integers(1, 4), label="select width")
+        n_leaves = data.draw(st.integers(0, 4), label="leaves")
+        # leaf i is input wire leaves[i], after the selects in any order
+        leaves = data.draw(st.permutations(range(width, width + n_leaves)), label="leaf wires")
+        terminals = st.integers(0, n_leaves + 1)
+        rows = data.draw(st.lists(st.lists(terminals, min_size=1 << width, max_size=1 << width),
+                                  min_size=1, max_size=3), label="columns")
+        k = (n_leaves + 1).bit_length() + data.draw(st.integers(0, 1), label="spare bits")
+        b = CircuitBuilder(width + n_leaves)
+        columns = [sum(t << x * k for x, t in enumerate(column)) for column in rows]
+        c = b.finish(robdd(b, b.inputs()[:width], columns, leaves, k))
+        got = truth_columns(c)
+        for a in range(1 << c.n_inputs):  # input wire 0 is the most significant bit of a
+            bits = BitVector.from_int(a, c.n_inputs).bits
+            x = a >> n_leaves
+            for column, terms in zip(got, rows):
+                t = terms[x]
+                assert column >> a & 1 == (t if t < 2 else bits[leaves[t - 2]])
 
 
 class TestMatch:

@@ -33,7 +33,7 @@ from pathcirc import (
     valid_graphs,
     zkp_snarkize,
 )
-from pathcirc.circuits import CircuitBuilder
+from pathcirc.circuits import CircuitBuilder, nand_depth
 from pathcirc.graphs import Edge, Graph, edge_width, vertex_width
 from pathcirc.universal import _spec_valid
 from pathcirc.verifiers import empty_walk
@@ -133,6 +133,15 @@ def test_step_gates_is_exact(m, n, monkeypatch):
     monkeypatch.setenv("PATHCIRC_BUDGET", f"gates={step.gate_count - 1}")
     with pytest.raises(BudgetError, match=f"has {step.gate_count} gates"):
         universal_step(m, n)
+
+
+@pytest.mark.parametrize("m, n, gates, depth", [
+    (2, 2, 541, 25), (4, 3, 1_356, 29), (8, 8, 8_363, 39), (16, 16, 30_046, 47)])
+def test_step_size_with_the_lookups_as_one_robdd(m, n, gates, depth):
+    """The step's size and NAND depth with both lookups lowered by
+    ``synth.robdd`` over the edge code, the table cells as leaves."""
+    step = universal_step(m, n).circuit
+    assert (step.gate_count, nand_depth(step)) == (gates, depth)
 
 
 @pytest.mark.parametrize("m, n", [(10 ** 30, 1), (0, 1 << 40)])
