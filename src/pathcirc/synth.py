@@ -53,7 +53,8 @@ def robdd(b: CircuitBuilder, selects: list[int], columns: list[int],
     """Emit into `b` one shared ROBDD of `columns` over the wires
     `selects`, read MSB first; return a wire per column. Bits x*k ..
     x*k + k - 1 of a column are its terminal where the selects read x:
-    0 or 1 for that constant, 2 + i for the wire ``leaves[i]`` of `b` (distinct)."""
+    0 or 1 for that constant, 2 + i for the wire ``leaves[i]`` of `b` (distinct).
+    A terminal past the last leaf raises :class:`ValueError`."""
     width = len(selects)
     # unique[(wire, hi, lo)]: that node's id; 0, 1 the constants, 2 + i the leaf i
     unique = {(w, 1, 0): i for i, w in enumerate(leaves, 2)}
@@ -62,6 +63,9 @@ def robdd(b: CircuitBuilder, selects: list[int], columns: list[int],
     def node(s: int, column: int) -> int:
         """The node of the function of selects s.. whose terminals are `column`."""
         if s == width:
+            if column >= len(leaves) + 2:
+                raise ValueError(f"terminal {column} names no constant or leaf: "
+                                 f"there are {len(leaves)} leaves")
             return column
         key = s, column
         if key not in memo:

@@ -10,14 +10,16 @@ spec wire of its bit, and the rows above in 0, as a valid spec leaves
 them zero. The result is ANDed with a
 structural validity check of the spec (:func:`_spec_valid`), so a spec
 that encodes no graph within capacity yields all zeros, which the
-MATCH stage rejects. The check decodes each table cell once and flags
-row r as an identity row (both cells hold r + 1), a zero row or an
-edge row (both hold codes in 1..min(n, r)). Local rules decide: row 0
-is an identity row and every other row one of the three; identity rows
-come only after identity rows, zero rows only before zero rows; a
-nonzero row r > m has an identity row at r - m, so at most m edge rows
-follow the identity rows; an edge code x needs row x - 1 to be an
-identity row; and the rows from n + m on are zero. The k = 0
+MATCH stage rejects. The check lowers each table cell by the same
+:func:`~pathcirc.synth.robdd` over its wires and flags row r as an
+identity row (both cells hold r + 1), a zero row or an edge row (both
+hold codes in 1..min(n, r)). Local rules decide: row 0 is an identity
+row and every other row one of the three; identity rows come only
+after identity rows, zero rows only before zero rows; a nonzero row
+r > m has an identity row at r - m, so at most m edge rows follow the
+identity rows; an edge code x needs row x - 1 to be an identity row,
+a terminal of the cell's ROBDD where no other rule implies it; and the
+rows from n + m on are zero. The k = 0
 assigned-vertex check is that lowering over the state, with the
 identity-row flags as leaves: a state s is assigned iff the spec is
 valid and row s - 1 is an identity row. The verifiers built here are
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import budget
 from .circuits import BitVector, Circuit, CircuitBuilder
@@ -122,24 +125,6 @@ def valid_graphs(m: int, n: int) -> list[Graph]:
     return [g for v in range(1, n + 1) for e in range(m + 1) for g in all_graphs(v, e)]
 
 
-def _rows(b: CircuitBuilder, bus: list[int], demand: Counter) -> dict[int, list[int]]:
-    """Decode the patterns of `bus` (integers, MSB first) that `demand`
-    counts: ``demand[p]`` wires for pattern ``p``, each carrying the AND
-    of its halves' minterms, so ``[bus == p]``. A one-wire bus has no
-    halves: it is its own minterm for 1, and its negation for 0."""
-    if len(bus) == 1:
-        ones, zeros = demand[1], demand[0]
-        wires = b.fanout(bus[0], ones + (zeros > 0))
-        return {1: wires[:ones], 0: b.fanout(b.not_(wires[-1]), zeros) if zeros else []}
-    half = (len(bus) + 1) // 2
-    low = len(bus) - half
-    mask = (1 << low) - 1
-    his = _rows(b, bus[:half], Counter(p >> low for p in demand))
-    los = _rows(b, bus[half:], Counter(p & mask for p in demand))
-    return {p: b.fanout(b.and_(his[p >> low].pop(), los[p & mask].pop()), n)
-            for p, n in demand.items()}
-
-
 def _nand_all(b: CircuitBuilder, wires: list[int]) -> int:
     """NOT of the AND of the wires: the NAND of two balanced AND trees,
     which is the OR of the wires' complements."""
@@ -170,47 +155,53 @@ def _spec_valid(b: CircuitBuilder, spec: list[int], m: int, n: int,
                 identities: bool = False) -> tuple[int, list[int]]:
     """Flag whether `spec` is the encoding of a graph at capacity (m, n).
 
-    Each table cell is decoded once, and the flags of row r say whether
-    it is an identity row (both cells hold r + 1, read off the encoding
-    of the edgeless graph on n vertices), a zero row, or an edge row
-    (both cells hold codes in 1..min(n, r)). The spec is valid iff every
-    row's rule holds (see :func:`_row`) and row x - 1 is an identity row
-    for each code x an edge row holds where no rule implies it: checked
-    once per x, over the OR of those cells. With `identities`, also
-    return a copy of the identity flag of each row r < n.
+    Each table cell is one :func:`~pathcirc.synth.robdd` over its wires,
+    with a column per flag of its row, and a flag is the AND of the two
+    cells' outputs: row r is an identity row (both cells hold r + 1,
+    read off the encoding of the edgeless graph on n vertices), a zero
+    row, or an edge row (both cells hold codes in 1..min(n, r)). The
+    spec is valid iff every row's rule holds (see :func:`_row`) and row
+    x - 1 is an identity row for each code x an edge row holds where no
+    rule implies it: the cell's last column, 1 on every other code and
+    a copy of row x - 1's identity flag on x, is a term of the flag.
+    With `identities`, also return a copy of the identity flag of each
+    row r < n.
     """
     v_bits, rows = vertex_width(n), 1 << edge_width(m, n)
     # the edgeless graph on n vertices holds the identity codes in its first n rows
     (edgeless,) = all_graphs(n, 0)
     steps = encode_graph(edgeless, m, n).bits.bits
-    flags, coded, rules = {}, {}, []
-    for r in range(rows):
-        edges, checked, rule = _row(r, m, n)
+    layout = [_row(r, m, n) for r in range(rows)]
+    uses = Counter(key for _, _, rule in layout for product in rule for key in product)
+    # both cells of a row read a copy of the identity flag of row x - 1 for each
+    # checked x; the codes a row checks are a run, so the runs' ends are counted
+    starts = Counter(checked.start for _, checked, _ in layout if checked)
+    stops = Counter(checked.stop for _, checked, _ in layout if checked)
+    runs = accumulate(starts[x] - stops[x] for x in range(n + 1))
+    uses.update({("id", x - 1): 2 * count for x, count in enumerate(runs) if count})
+    uses.update(("id", r) for r in range(n) if identities)
+    wires, terms = {}, []
+    for r, (edges, checked, _) in enumerate(layout):
         cells = [slice((t * rows + r) * v_bits, (t * rows + r + 1) * v_bits) for t in (0, 1)]
         step = BitVector(steps[cells[0]]).value
-        demand = Counter(edges) + Counter(checked) + Counter([step] * (step > 0) + [0] * (r > 0))
-        source, target = (_rows(b, spec[cell], demand) for cell in cells)
-        if step:
-            flags["id", r] = b.and_(source[step].pop(), target[step].pop())
-        if r:
-            flags["zero", r] = b.and_(source[0].pop(), target[0].pop())
+        # terminal 2 + i is the leaf i, a copy of the identity flag of row checked[i] - 1
+        k = (len(checked) + 1).bit_length()
+        ones = ((1 << (k << v_bits)) - 1) // ((1 << k) - 1)  # terminal 1 on every code
+        keys = [("id", r)] * (step > 0) + [("zero", r)] * (r > 0) + [("edge", r)] * bool(edges)
+        columns = [1 << step * k] * (step > 0) + [1] * (r > 0)
         if edges:
-            flags["edge", r] = b.and_(*(b.or_chain([cell[x].pop() for x in edges])
-                                        for cell in (source, target)))
-        for x in checked:
-            coded.setdefault(x, []).extend([source[x].pop(), target[x].pop()])
-        rules.append(rule)
-    uses = Counter(key for rule in rules for product in rule for key in product)
-    uses.update(("id", x - 1) for x in coded)
-    uses.update(("id", r) for r in range(n) if identities)
-    wires = {key: b.fanout(w, uses[key]) for key, w in flags.items()}
-    terms = []
-    for rule in rules:  # a rule is one flag, or an OR of ANDs
+            columns.append(ones >> ((1 << v_bits) - len(edges)) * k << k)
+        if checked:
+            columns.append(ones + sum(i << x * k for i, x in enumerate(checked, 1)))
+        outs = [robdd(b, spec[cell], columns, [wires["id", x - 1].pop() for x in checked], k)
+                for cell in cells]
+        for key, source, target in zip(keys, *outs):
+            wires[key] = b.fanout(b.and_(source, target), uses[key])
+        terms += [out[-1] for out in outs if checked]
+    for _, _, rule in layout:  # a rule is one flag, or an OR of ANDs
         products = [[wires[key].pop() for key in product] for product in rule]
         terms.append(products[0][0] if len(rule) == 1 else
                      _nand_all(b, [_nand_all(b, product) for product in products]))
-    for x, cells in coded.items():
-        terms.append(b.nand(b.or_chain(cells), b.not_(wires["id", x - 1].pop())))
     return b.and_chain(terms), [wires["id", r].pop() for r in range(n) if identities]
 
 
@@ -258,10 +249,9 @@ def universal_step(m: int, n: int) -> Verifier:
 
     State in: a vertex code at capacity width. Spec: a graph encoding.
     Witness: an edge code. Flag is MATCH(vertex, source); state out is
-    the target, both read through the universal lookups. Refused over
-    the gate budget.
+    the target, both read through the universal lookups, which refuse
+    a capacity over the gate budget.
     """
-    _refuse_over_budget(m, n, "the universal step")
     return assemble_step(vertex_width(n), encoding_width(m, n), edge_width(m, n),
                          universal_source(m, n), universal_target(m, n))
 

@@ -59,7 +59,7 @@ def test_snarkized_path_verifier():
 
 
 @pytest.mark.parametrize("k, digest", [
-    (0, "bfb3c961bc62aa077c383c15dcd81a4e22536706d852bddf3bd6427d96561ff9"),
+    (0, "41faf8161d9160d21bbb939c9fe02267dbca7ee3443b8dbdce29963f25ee3dcb"),
     (2, "9d0722aaf422725c34a69cc722afa983ead8c16f963b2093c360731577014b28"),
 ])
 def test_universal_verifier(k, digest):
@@ -70,7 +70,7 @@ def test_universal_verifier(k, digest):
 # spec fan-out, and both flag ANDs after the last step.
 @pytest.mark.parametrize("m, n, digest", [
     (1, 1, "e1f67365cf06c2a19ab2e1183e2e6f35671292b9052fba9748930bd05a6d5863"),
-    (2, 2, "857ee6490012da75034f755d15d833b4041d3254916ef44e7ed9452e4ac80920"),
+    (2, 2, "f739ef8a0a4d6cb080d2e1519a72950a9461c3628ba749ffff473a9aac563c9c"),
 ])
 def test_universal_verifier_nested_fold(m, n, digest):
     assert sha256(universal_verifier(m, n, 3).circuit) == digest

@@ -33,10 +33,10 @@ WORKLOADS = {
         bristol_by_op={"AND": 418, "XOR": 145, "INV": 76, "EQ": 0, "EQW": 0},
         gates_by_kind={"NAND": 679, "COPY": 661, "TRUE": 0, "FALSE": 0})),
     "universal": (None, 2, (2, 2), dict(
-        inputs=24, gates=1_135, wires=1_715, nand_gates=579, nand_depth=29,
-        bristol_gates=396,
-        bristol_by_op={"AND": 255, "XOR": 40, "INV": 101, "EQ": 0, "EQW": 0},
-        gates_by_kind={"NAND": 579, "COPY": 556, "TRUE": 0, "FALSE": 0})),
+        inputs=24, gates=1_047, wires=1_583, nand_gates=535, nand_depth=29,
+        bristol_gates=400,
+        bristol_by_op={"AND": 267, "XOR": 40, "INV": 93, "EQ": 0, "EQW": 0},
+        gates_by_kind={"NAND": 535, "COPY": 512, "TRUE": 0, "FALSE": 0})),
 }
 
 

@@ -261,6 +261,18 @@ class TestWireLeaves:
                 t = terms[x]
                 assert column >> a & 1 == (t if t < 2 else bits[leaves[t - 2]])
 
+    @pytest.mark.parametrize("n_leaves", [0, 1, 3])
+    @pytest.mark.parametrize("x", [0, 1, 3])
+    def test_a_terminal_past_the_last_leaf_is_refused(self, n_leaves, x):
+        """A terminal 2 + len(leaves) names no wire; unchecked, it would
+        read as the id of an internal node. Nothing is emitted."""
+        width, k = 2, 3
+        b = CircuitBuilder(width + n_leaves)
+        column = (2 + n_leaves) << x * k
+        with pytest.raises(ValueError, match=f"terminal {2 + n_leaves} names no"):
+            robdd(b, b.inputs()[:width], [column], b.inputs()[width:], k)
+        assert b.finish([]).gate_count == 0
+
 
 class TestMatch:
     @pytest.mark.parametrize("a,b,expected", MATCH2_ROWS)

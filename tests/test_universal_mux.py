@@ -35,7 +35,7 @@ from pathcirc import (
 )
 from pathcirc.circuits import CircuitBuilder, nand_depth
 from pathcirc.graphs import Edge, Graph, edge_width, vertex_width
-from pathcirc.universal import _spec_valid
+from pathcirc.universal import _row, _spec_valid
 from pathcirc.verifiers import empty_walk
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -136,10 +136,11 @@ def test_step_gates_is_exact(m, n, monkeypatch):
 
 
 @pytest.mark.parametrize("m, n, gates, depth", [
-    (2, 2, 541, 25), (4, 3, 1_356, 29), (8, 8, 8_363, 39), (16, 16, 30_046, 47)])
+    (2, 2, 497, 25), (4, 3, 1_060, 27), (8, 8, 5_695, 41), (16, 16, 17_098, 49)])
 def test_step_size_with_the_lookups_as_one_robdd(m, n, gates, depth):
     """The step's size and NAND depth with both lookups lowered by
-    ``synth.robdd`` over the edge code, the table cells as leaves."""
+    ``synth.robdd`` over the edge code, the table cells as leaves, and
+    each cell of the spec check by ``synth.robdd`` over its wires."""
     step = universal_step(m, n).circuit
     assert (step.gate_count, nand_depth(step)) == (gates, depth)
 
@@ -194,6 +195,27 @@ def test_flag_is_the_referee_on_seeded_specs(m, n):
         bits[cell:cell + v_bits] = BitVector.from_int(rng.randrange(1 << v_bits), v_bits).bits
         expected = universal_ref.spec_is_valid(bits, m, n)
         assert c.evaluate(BitVector(tuple(bits))).bits == (int(expected),)
+
+
+@pytest.mark.parametrize("m, n", [(4, 3), (3, 4), (8, 8)])
+def test_an_edge_code_needs_its_identity_row(m, n):
+    """For each code x that row r checks, a graph on x - 1 vertices whose
+    last edge row is r: x in either cell of row r encodes no graph, and
+    any code in 1..x - 1 there keeps the spec valid."""
+    c, v_bits, rows = flag(m, n), vertex_width(n), 1 << edge_width(m, n)
+    for r in range(rows):
+        for x in _row(r, m, n)[1]:
+            nv = x - 1
+            g = Graph(tuple(f"v{i}" for i in range(nv)),
+                      tuple(Edge(f"e{j}", j % nv, (j + 1) % nv) for j in range(r - nv + 1)))
+            bits = encode_graph(g, m, n).bits.bits
+            for cell in (r, rows + r):
+                for code in range(1, x + 1):
+                    spec = (bits[:cell * v_bits] + BitVector.from_int(code, v_bits).bits
+                            + bits[(cell + 1) * v_bits:])
+                    valid = code < x
+                    assert universal_ref.spec_is_valid(spec, m, n) == valid, (r, x, cell, code)
+                    assert c.evaluate(BitVector(spec)).bits == (valid,), (r, x, cell, code)
 
 
 def test_step_over_a_lowered_budget_is_refused_with_its_size(monkeypatch):
