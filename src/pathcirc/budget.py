@@ -5,8 +5,9 @@ Several constructions in this package are exponential by design
 enumeration). Budgets put a hard ceiling on each of them so a typo in a
 capacity does not hang the process. Each limit has one name, its
 ``PATHCIRC_BUDGET`` key: ``gates`` (gates of an emitted circuit, and
-the inputs of a circuit document or the spec wires of a universal
-circuit), ``eval-width`` (free inputs of an exhaustive evaluation),
+the inputs of a circuit document, the spec wires of a universal
+circuit or the vertices and edges named by a universal graph family),
+``eval-width`` (free inputs of an exhaustive evaluation),
 ``synth-width`` (inputs of a lowered truth table) and ``graphs``
 (members of an enumerated graph family).
 

@@ -5,27 +5,9 @@ round-trips, deterministic key order, optional metadata block (wire
 partitions, enumeration assignments) so verifier structure survives a
 trip through a file.
 
-Bristol Fashion is the lossy hand-off format for MPC/zk toolchains.
-It is written from the circuit's cached NAND program
-(:attr:`~pathcirc.circuits.Circuit._program`), holding each value as a
-literal: a Bristol wire and a complement bit. Inputs are positive
-literals, and a COPY, already an alias in the program, emits nothing.
-A NAND of two equal literals is that literal complemented and emits
-nothing either, so NOT is free and AND costs one AND gate. Any other
-NAND emits one AND over its operands made positive -- a complemented
-operand through an INV, emitted at most once per wire -- and is the
-complement of that AND, with one exception. A NAND that reads two
-NANDs emitted as ANDs, where an operand literal of one is the
-complement of an operand literal of the other, is the OR of two ANDs
-that are never both 1. It is emitted as one XOR of the two AND wires,
-a positive literal. A constant is one EQ gate with a literal 0/1
-source, emitted only if the program reads it. A final block moves the
-outputs to the trailing wires the format requires: an INV for a
-complemented output, an EQW for a positive one. When a positive output
-is a gate output that nothing else reads, the gate writes straight
-into the output region instead; its nominal internal wire stays
-reserved, so the wire count is always inputs + emitted gates before
-the output block + outputs.
+Bristol Fashion is the lossy hand-off format for MPC/zk toolchains,
+written by :func:`to_bristol` so that it costs what free-XOR back ends
+charge: XOR gates are free and only AND gates cost.
 """
 
 from __future__ import annotations
@@ -171,22 +153,125 @@ def from_json(text: str) -> Circuit:
     return document_from_json(text).circuit
 
 
+#: The text of one Bristol gate of each operator, from its sources and its output wire.
+_BRISTOL_LINE = {op: f"{n} 1 {'%s ' * n}%s {op}"
+                 for op, n in (("AND", 2), ("XOR", 2), ("INV", 1), ("EQ", 1), ("EQW", 1))}
+
+
 def to_bristol(c: Circuit) -> str:
-    """Export in Bristol Fashion; byte-deterministic for a given circuit."""
-    program = c._program
-    left, right, outputs = program
+    """Export in Bristol Fashion; byte-deterministic for a given circuit.
+
+    The text is written from the circuit's cached NAND program
+    (:attr:`~pathcirc.circuits.Circuit._program`), holding each value as
+    a literal: a Bristol wire and a complement bit. Inputs are positive
+    literals, and a COPY, already an alias in the program, emits nothing.
+    A NAND of two equal literals is that literal complemented and emits
+    nothing either, so NOT is free. Every other NAND is a node.
+
+    Two patterns of nodes are rewritten when their inner nodes have no
+    reader outside the pattern; otherwise they take the generic path:
+
+    - XOR: NAND(NAND(a, t), NAND(t, b)) with t = NAND(a, b), as
+      :meth:`~pathcirc.circuits.CircuitBuilder.xor` builds it, is one XOR
+      of the wires of a and b. Their complement bits fold into its literal.
+    - MUX: NAND(NAND(s, x), NAND(NOT s, y)), a node of
+      :func:`~pathcirc.synth.robdd`, is y XOR (s AND (x XOR y)): one AND
+      and two XORs, where the generic path takes two ANDs. A complemented
+      s swaps x and y. Over two complemented children the result is the
+      complement of the MUX of their wires. When exactly one child is
+      complemented, that child is made positive through its wire's one
+      INV, so the result is a positive literal and complements do not
+      spread up the BDD.
+
+    Any other node emits one AND over its operands made positive -- a
+    complemented operand through an INV, emitted at most once per wire --
+    and is the complement of that AND, with one exception. A node that
+    reads two nodes emitted as ANDs, where an operand literal of one is
+    the complement of an operand literal of the other, is the OR of two
+    ANDs that are never both 1. It is emitted as one XOR of the two AND
+    wires, a positive literal: this is a MUX whose inner NAND has a second
+    reader. So there is never more than one AND per NAND. A constant is
+    one EQ gate with a literal 0/1 source, emitted only if a node or an
+    output reads it. A final block moves the outputs to the trailing
+    wires the format requires: an INV for a complemented output, an EQW
+    for a positive one. When a positive output is a gate output that
+    nothing else reads, the gate writes straight into the output region
+    instead; its nominal internal wire stays reserved, so the wire count
+    is always inputs + emitted gates before the output block + outputs.
+    """
+    left, right, outputs = c._program
     n_in = c.n_inputs
+    first = n_in + 2
+    # node[v]: program value v as a literal over the nodes -- the inputs,
+    # the constants and every NAND of two distinct literals -- twice the
+    # node's value id, plus 1 for its complement. NAND value v reads the
+    # literals lefts[v - first] and rights[v - first]; reads[u] counts the
+    # nodes and outputs that read node u.
+    node = list(range(0, 2 * first, 2))
+    reads = [0] * (first + len(left))
+    lefts: list[int] = []
+    rights: list[int] = []
+    pairs: list[int] = []  # the NAND nodes that read two NAND nodes
+    for a, b in zip(left, right):
+        la, lb = node[a], node[b]
+        lefts.append(la)
+        rights.append(lb)
+        if la == lb:
+            node.append(la ^ 1)
+            continue
+        reads[la >> 1] += 1
+        reads[lb >> 1] += 1
+        if not (la | lb) & 1 and min(la, lb) >= 2 * first:
+            pairs.append(len(node))
+        node.append(2 * len(node))
+    for v in outputs:
+        reads[node[v] >> 1] += 1
+
+    def operands(u: int) -> tuple[int, int]:
+        return lefts[u - first], rights[u - first]
+
+    # rewrite[v]: the operand literals (a, b) of the XOR, or (s, x, y) of
+    # the MUX, that node v is; inner[u]: node u is read only by such a pattern
+    rewrite: dict[int, tuple[int, ...]] = {}
+    inner = bytearray(len(node))
+    for v in pairs:
+        lp, lq = operands(v)
+        p, q = lp >> 1, lq >> 1
+        if reads[p] != 1 or reads[q] != 1 or p in rewrite or q in rewrite:
+            continue
+        (p0, p1), (q0, q1) = operands(p), operands(q)
+        for t, a in ((p0, p1), (p1, p0)):
+            b = q0 + q1 - t
+            if t in (q0, q1) and t >= 2 * first and not t & 1 and reads[t >> 1] == 2 \
+                    and t >> 1 not in rewrite and operands(t >> 1) in ((a, b), (b, a)):
+                rewrite[v] = a, b
+                inner[t >> 1] = 1
+                break
+        else:
+            for s, x in ((p0, p1), (p1, p0)):
+                if s ^ 1 in (q0, q1):
+                    rewrite[v] = s, x, q0 + q1 - (s ^ 1)
+                    break
+            else:
+                continue
+        inner[p] = inner[q] = 1
+
     # Emitted gate i has operator ops[i] and sources srcs[i], and writes
-    # Bristol wire n_in + i. lit[v] is the literal holding program value v:
-    # twice its Bristol wire, plus 1 when v is that wire's complement.
+    # Bristol wire n_in + i. lit[u] is the literal holding node u: twice
+    # its Bristol wire, plus 1 when u is that wire's complement.
     ops: list[str] = []
     srcs: list[tuple[int | str, ...]] = []
-    lit = list(range(0, 2 * n_in, 2))
+    lit = list(range(0, 2 * n_in, 2)) + [0] * (len(node) - n_in)
+
+    def emit(op: str, *sources: int | str) -> int:
+        """Emit one gate; return its wire."""
+        ops.append(op)
+        srcs.append(sources)
+        return n_in + len(ops) - 1
+
     for value, bit in ((n_in, "0"), (n_in + 1, "1")):
-        lit.append(2 * (n_in + len(ops)))  # looked up only if the EQ is emitted
-        if any(value in part for part in program):
-            ops.append("EQ")
-            srcs.append((bit,))
+        if reads[value]:
+            lit[value] = 2 * emit("EQ", bit)
     inverse: dict[int, int] = {}  # inverse[w]: the wire of w's one INV
 
     def positive(literal: int) -> int:
@@ -195,37 +280,43 @@ def to_bristol(c: Circuit) -> str:
         if not literal & 1:
             return w
         if w not in inverse:
-            inverse[w] = n_in + len(ops)
-            ops.append("INV")
-            srcs.append((w,))
+            inverse[w] = emit("INV", w)
         return inverse[w]
 
     ands: dict[int, tuple[int, int]] = {}  # ands[w]: operand literals of the AND on wire w
-    for a, b in zip(left, right):
-        la, lb = lit[a], lit[b]
-        if la == lb:
-            lit.append(la ^ 1)
+    for v, u, w in zip(range(first, len(node)), lefts, rights):
+        if u == w or inner[v]:
             continue
+        if v in rewrite:
+            literals = [lit[n >> 1] ^ (n & 1) for n in rewrite[v]]
+            if len(literals) == 2:
+                la, lb = literals
+                lit[v] = 2 * emit("XOR", la >> 1, lb >> 1) + ((la ^ lb) & 1)
+                continue
+            ls, lx, ly = literals
+            flip = lx & ly & 1
+            wx, wy = (positive(lx), positive(ly)) if (lx ^ ly) & 1 else (lx >> 1, ly >> 1)
+            if ls & 1:
+                wx, wy = wy, wx
+            lit[v] = 2 * emit("XOR", wy, emit("AND", ls >> 1, emit("XOR", wx, wy))) + flip
+            continue
+        la, lb = lit[u >> 1] ^ (u & 1), lit[w >> 1] ^ (w & 1)
         # an odd literal on an AND's wire is that AND's complement, whatever NANDs led there
         if la & lb & 1 and la >> 1 in ands and lb >> 1 in ands:
             x, y = ands[la >> 1], ands[lb >> 1]
             if x[0] ^ 1 in y or x[1] ^ 1 in y:
                 # a NAND of two ANDs that are never both 1 is their OR, so their XOR
-                lit.append(2 * (n_in + len(ops)))
-                ops.append("XOR")
-                srcs.append((la >> 1, lb >> 1))
+                lit[v] = 2 * emit("XOR", la >> 1, lb >> 1)
                 continue
-        operands = (positive(la), positive(lb))
-        ands[n_in + len(ops)] = la, lb
-        lit.append(2 * (n_in + len(ops)) + 1)
-        ops.append("AND")
-        srcs.append(operands)
+        wire = emit("AND", positive(la), positive(lb))
+        ands[wire] = la, lb
+        lit[v] = 2 * wire + 1
 
     next_wire = n_in + len(ops)
     outs = list(range(n_in, next_wire))
     n_wires = next_wire + c.n_outputs
     read_wires = set(chain.from_iterable(srcs))
-    out_lits = [lit[v] for v in outputs]
+    out_lits = [lit[u >> 1] ^ (u & 1) for u in map(node.__getitem__, outputs)]
     uses = Counter(literal >> 1 for literal in out_lits)
     for slot, literal in enumerate(out_lits):
         wire = literal >> 1
@@ -241,6 +332,5 @@ def to_bristol(c: Circuit) -> str:
              f"1 {n_in}" if n_in else "0",
              f"1 {c.n_outputs}" if c.n_outputs else "0",
              ""]
-    lines += [f"{len(ins)} 1 {' '.join(map(str, ins))} {out} {op}"
-              for op, ins, out in zip(ops, srcs, outs)]
+    lines += [_BRISTOL_LINE[op] % (*ins, out) for op, ins, out in zip(ops, srcs, outs)]
     return "\n".join(lines) + "\n"

@@ -20,7 +20,6 @@ blocks of every verifier in the package.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
 
 from . import budget
@@ -76,25 +75,31 @@ def robdd(b: CircuitBuilder, selects: list[int], columns: list[int],
         return memo[key]
 
     roots = [node(0, column) for column in columns]
-    reads = Counter(roots) + Counter(child for _, hi, lo in unique for child in (hi, lo))
+    reads = [0] * (len(unique) + 2)
+    for n in roots:
+        reads[n] += 1
     # reads of each wire's two literals: a literal node is read where it
     # is read, a node with a constant child reads s (if lo is constant) or
-    # NOT s (if hi is), and a multiplexer reads both
-    positive, negative = Counter(), Counter()
-    for (s, hi, lo), n in unique.items():
+    # NOT s (if hi is), and a multiplexer reads both. Parents come after
+    # their children, so a node's reads are all counted when it is reached.
+    positive = dict.fromkeys([*selects, *leaves], 0)
+    negative = dict.fromkeys(positive, 0)
+    for (s, hi, lo), n in reversed(unique.items()):
+        reads[hi] += 1
+        reads[lo] += 1
         if hi < 2 and lo < 2:
             (positive if hi else negative)[s] += reads[n]
         else:
             positive[s] += hi > 1
             negative[s] += lo > 1
-    literals = {}
-    for s in dict.fromkeys([*selects, *leaves]):
-        p, q = positive[s], negative[s]
+    # then each wire's literals: the copies of s and of NOT s to be read
+    for s, p in positive.items():
+        q = negative[s]
         fan = b.fanout(s, p + (q > 0)) if p + q else []
-        literals[s] = fan[:p], b.fanout(b.not_(fan[-1]), q) if q else []
+        positive[s], negative[s] = fan[:p], b.fanout(b.not_(fan[-1]), q) if q else []
     wires: dict[int, list[int]] = {}
     for (s, hi, lo), n in unique.items():  # in creation order, so children first
-        pos, neg = literals[s]
+        pos, neg = positive[s], negative[s]
         if hi < 2 and lo < 2:
             wires[n] = pos if hi else neg
             continue

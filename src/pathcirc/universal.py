@@ -115,13 +115,22 @@ def valid_graphs(m: int, n: int) -> list[Graph]:
     valid specs of the universal circuits. The empty graph is left out:
     its encoding is the all-zero string, which the circuits treat as
     invalid, with the same all-zero result an empty graph would give.
-    A capacity below one vertex or zero edges is refused.
+    A capacity below one vertex or zero edges is refused, and so is one
+    whose family has more graphs than the ``graphs`` budget or names more
+    vertices and edges than the ``gates`` budget, before any is built.
     """
     _check_capacity(m, n)
     # a shape with one vertex or no edges has one graph, m + n of them in
     # all; every other shape adds at least 4, so the count stops within the limit
-    shapes = ((v, e) for v in range(2, n + 1) for e in range(1, m + 1))
+    vertices = range(2, n + 1) if m else ()  # of the other shapes
+    shapes = ((v, e) for v in vertices for e in range(1, m + 1))
     budget.check("graphs", family_size(shapes, m + n), f"capacity ({m}, {n})", "graphs")
+    # the graphs with one vertex name (m + 1)(m + 2) / 2 vertices and
+    # edges, those with no edges n(n + 1) / 2 - 1 more: quadratic in a
+    # capacity that the count above lets through
+    names = (m + 1) * (m + 2) // 2 + n * (n + 1) // 2 - 1 + sum(
+        v ** (2 * e) * (v + e) for v in vertices for e in range(1, m + 1))
+    budget.check("gates", names, f"capacity ({m}, {n})", "vertices and edges in its graphs")
     return [g for v in range(1, n + 1) for e in range(m + 1) for g in all_graphs(v, e)]
 
 

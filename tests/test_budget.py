@@ -112,3 +112,27 @@ def test_a_huge_capacity_is_refused_at_once(m, n):
             valid_graphs(m, n)
         fastest = min(fastest, time.perf_counter() - start)
     assert fastest < 0.01
+
+
+@pytest.mark.parametrize("m, n", [(0, 65536), (60000, 1)])
+def test_a_capacity_naming_too_many_vertices_is_refused_at_once(m, n):
+    # every graph is in the graphs budget, but they name about n^2 / 2 vertices
+    # (or m^2 / 2 edges) in all
+    fastest = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=rf"^capacity \({m}, {n}\) has \d+ vertices and "
+                                              r"edges in its graphs, over the gates budget 1048576 "
+                                              r"\(raise it with PATHCIRC_BUDGET=gates=N\)$"):
+            valid_graphs(m, n)
+        fastest = min(fastest, time.perf_counter() - start)
+    assert fastest < 0.01
+
+
+def test_the_vertices_and_edges_of_a_family_are_counted_exactly(monkeypatch):
+    names = sum(g.n_vertices + g.n_edges for g in valid_graphs(2, 2))
+    monkeypatch.setenv("PATHCIRC_BUDGET", f"gates={names}")
+    assert len(valid_graphs(2, 2)) == 24
+    monkeypatch.setenv("PATHCIRC_BUDGET", f"gates={names - 1}")
+    with pytest.raises(BudgetError, match=rf"^capacity \(2, 2\) has {names} vertices and edges"):
+        valid_graphs(2, 2)

@@ -29,12 +29,15 @@ from pathcirc import (
     primitive,
     snarkize,
     symmetry,
+    synth,
     to_bristol,
     to_json,
+    universal_verifier,
     xor_gate,
 )
 from pathcirc.circuits import CODE, COPY, FALSE, NAND, TRUE
-from pathcirc.graphs import EdgeStep, Path
+from pathcirc.graphs import EdgeStep, Path, TruthTable
+from pathcirc.synth import robdd
 
 AB = parse_graph('{"vertices":["a","b"],"edges":[["e","a","b"]]}')
 
@@ -67,11 +70,52 @@ def random_circuits():
 
 
 def benchmark_verifier(name: str):
-    """The path verifier of one of the benchmark's two fixed-graph workloads."""
+    """The verifier of one of the benchmark's workloads."""
+    if name == "universal":
+        return universal_verifier(2, 2, 2)
     graph, k = {"long-walk": (de_bruijn(3), 8),
                 "wide-graph": (random_multigraph(32, 64, Random(1909)), 1)}[name]
     g = parse_graph(json.dumps(graph))
     return path_verifier(g, enumerate_graph(g), k)
+
+
+def multiplexer(second_reader: bool = False):
+    """(s AND x) OR (NOT s AND y), as `robdd` builds a node; with
+    `second_reader`, NAND(s, x) is an output too."""
+    b = CircuitBuilder(3)
+    s1, s2 = b.copy(0)
+    p = b.nand(s1, 1)
+    p, extra = b.copy(p) if second_reader else (p, None)
+    return b.finish([b.nand(p, b.nand(b.not_(s2), 2))] + [extra] * second_reader)
+
+
+def xor_with_a_second_reader(inner: str):
+    """`CircuitBuilder.xor` of inputs 0 and 1, with its inner NAND `inner`
+    ("t", the NAND of the inputs, or "p", the NAND of input 0 and t)
+    also an output."""
+    b = CircuitBuilder(2)
+    a1, a2 = b.copy(0)
+    b1, b2 = b.copy(1)
+    t1, t2, t3 = b.fanout(b.nand(a1, b1), 3)
+    p = b.nand(a2, t1)
+    p, p_out = b.copy(p) if inner == "p" else (p, None)
+    out = b.nand(p, b.nand(t2, b2))
+    return b.finish([out, t3] if inner == "t" else [out, p_out, b.not_(t3)])
+
+
+def pattern_circuits():
+    """Circuits whose NAND programs hold the XOR and MUX patterns, with
+    and without a second reader of an inner NAND."""
+    rng = Random(19)
+    table = TruthTable(4, 3, [bv(format(rng.getrandbits(3), "03b")) for _ in range(16)])
+    b = CircuitBuilder(2)
+    xnor = b.finish([b.xnor(0, 1)])
+    b = CircuitBuilder(3)
+    s1, s2 = b.copy(0)
+    # NOT s selects the first operand
+    inverted = b.finish([b.nand(b.nand(b.not_(s1), 1), b.nand(s2, b.not_(2)))])
+    return [multiplexer(), multiplexer(second_reader=True), xor_with_a_second_reader("t"),
+            xor_with_a_second_reader("p"), xnor, inverted, synth(table)]
 
 
 def gate_lines(text: str) -> list[str]:
@@ -253,7 +297,7 @@ class TestBristol:
             verdicts.add(expected)
         assert verdicts == {"0", "1"}
 
-    @pytest.mark.parametrize("name", ["long-walk", "wide-graph"])
+    @pytest.mark.parametrize("name", ["long-walk", "wide-graph", "universal"])
     def test_reference_interpreter_agrees_on_the_benchmark_verifiers(self, name):
         pv = benchmark_verifier(name)
         rng = Random(256)
@@ -265,15 +309,55 @@ class TestBristol:
                 assert run_bristol(text, str(inp)) == str(out)
 
     def test_an_or_of_two_disjoint_ands_is_one_xor(self):
-        # a multiplexer: (s AND x) OR (NOT s AND y)
-        b = CircuitBuilder(3)
-        s1, s2 = b.copy(0)
-        c = b.finish([b.nand(b.nand(s1, 1), b.nand(b.not_(s2), 2))])
+        # a multiplexer, y XOR (s AND (x XOR y))
+        c = multiplexer()
         text = to_bristol(c)
-        assert ops(text) == {"AND": 2, "INV": 1, "XOR": 1}
+        assert ops(text) == {"AND": 1, "XOR": 2}
         for x in range(8):
             inp = BitVector.from_int(x, 3)
             assert run_bristol(text, str(inp)) == str(c.evaluate(inp))
+
+    def test_a_multiplexer_with_a_second_reader_is_two_ands_and_one_xor(self):
+        # NAND(s, x) is emitted as an AND, so the OR of the two ANDs stays their XOR
+        assert ops(to_bristol(multiplexer(second_reader=True))) == {
+            "AND": 2, "INV": 2, "XOR": 1}
+
+    def test_a_robdd_multiplexer_is_one_and(self):
+        b = CircuitBuilder(3)
+        # leaves 0 and 1 (terminals 2 and 3) where the select is 1 and 0
+        (w,) = robdd(b, [0], [2 << 2 | 3], leaves=[1, 2], k=2)
+        c = b.finish([w])
+        text = to_bristol(c)
+        assert ops(text) == {"AND": 1, "XOR": 2}
+        for x in range(8):
+            inp = BitVector.from_int(x, 3)
+            assert run_bristol(text, str(inp)) == str(c.evaluate(inp))
+
+    def test_xor_is_one_xor_gate(self):
+        # written straight into the output wire, past its reserved wire 2
+        assert gate_lines(to_bristol(xor_gate())) == ["2 1 0 1 3 XOR"]
+
+    def test_xnor_is_one_xor_and_an_output_inv(self):
+        b = CircuitBuilder(2)
+        assert gate_lines(to_bristol(b.finish([b.xnor(0, 1)]))) == [
+            "2 1 0 1 2 XOR", "1 1 2 3 INV"]
+
+    @pytest.mark.parametrize("inner", ["t", "p"])
+    def test_an_xor_with_a_second_reader_is_not_rewritten(self, inner):
+        assert "XOR" not in ops(to_bristol(xor_with_a_second_reader(inner)))
+
+    @pytest.mark.parametrize("circuit", pattern_circuits())
+    def test_the_rewrites_agree_with_the_reference_interpreter(self, circuit):
+        text = to_bristol(circuit)
+        assert ops(text)["AND"] <= circuit.kinds.count(CODE[NAND])
+        for x in range(1 << circuit.n_inputs):
+            inp = BitVector.from_int(x, circuit.n_inputs)
+            assert run_bristol(text, str(inp)) == str(circuit.evaluate(inp))
+
+    @pytest.mark.parametrize("name", ["long-walk", "wide-graph", "universal"])
+    def test_the_benchmark_snarks_have_fewer_ands_than_half_their_nands(self, name):
+        c = snarkize(benchmark_verifier(name))
+        assert 2 * ops(to_bristol(c))["AND"] < c.kinds.count(CODE[NAND])
 
     def test_an_or_of_two_overlapping_ands_is_no_xor(self):
         b = CircuitBuilder(4)

@@ -24,18 +24,18 @@ def stats(path, capsys) -> dict:
 WORKLOADS = {
     "long-walk": (lambda: de_bruijn(3), 8, None, dict(
         inputs=48, gates=2_123, wires=3_209, nand_gates=1_085, nand_depth=27,
-        bristol_gates=952,
-        bristol_by_op={"AND": 607, "XOR": 128, "INV": 217, "EQ": 0, "EQW": 0},
+        bristol_gates=764,
+        bristol_by_op={"AND": 335, "XOR": 292, "INV": 137, "EQ": 0, "EQW": 0},
         gates_by_kind={"NAND": 1_085, "COPY": 1_038, "TRUE": 0, "FALSE": 0})),
     "wide-graph": (lambda: random_multigraph(32, 64, Random(1909)), 1, None, dict(
         inputs=19, gates=1_340, wires=2_020, nand_gates=679, nand_depth=27,
-        bristol_gates=639,
-        bristol_by_op={"AND": 418, "XOR": 145, "INV": 76, "EQ": 0, "EQW": 0},
+        bristol_gates=589,
+        bristol_by_op={"AND": 225, "XOR": 302, "INV": 62, "EQ": 0, "EQW": 0},
         gates_by_kind={"NAND": 679, "COPY": 661, "TRUE": 0, "FALSE": 0})),
     "universal": (None, 2, (2, 2), dict(
         inputs=24, gates=1_047, wires=1_583, nand_gates=535, nand_depth=29,
-        bristol_gates=400,
-        bristol_by_op={"AND": 267, "XOR": 40, "INV": 93, "EQ": 0, "EQW": 0},
+        bristol_gates=366,
+        bristol_by_op={"AND": 203, "XOR": 86, "INV": 77, "EQ": 0, "EQW": 0},
         gates_by_kind={"NAND": 535, "COPY": 512, "TRUE": 0, "FALSE": 0})),
 }
 
