@@ -83,9 +83,10 @@ class BitVector:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(self.bits))
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"bits must be 0 or 1: {self.bits!r}")
+        bits = tuple(self.bits)
+        object.__setattr__(self, "bits", bits)
+        if bits.count(0) + bits.count(1) != len(bits):
+            raise ValueError(f"bits must be 0 or 1: {bits!r}")
 
     @classmethod
     def from_string(cls, text: str) -> BitVector:
@@ -97,7 +98,8 @@ class BitVector:
     def from_int(cls, value: int, width: int) -> BitVector:
         if not 0 <= value < (1 << width):
             raise ValueError(f"{value} does not fit in {width} bits")
-        return cls(tuple((value >> (width - 1 - i)) & 1 for i in range(width)))
+        # the binary digits of value with a 1 above the top bit, less "0b1"
+        return cls(tuple(bin(value | 1 << width)[3:].encode().translate(_BITS)))
 
     @classmethod
     def zeros(cls, width: int) -> BitVector:
@@ -107,9 +109,9 @@ class BitVector:
     def width(self) -> int:
         return len(self.bits)
 
-    @property
+    @cached_property
     def value(self) -> int:
-        """Integer value, MSB first; linear in the width."""
+        """Integer value, MSB first; linear in the width, once."""
         return int(bytes(self.bits).translate(_DIGITS), 2) if self.bits else 0
 
     def is_zero(self) -> bool:

@@ -10,15 +10,18 @@ the package, and graph homomorphisms.
 Enumeration scheme: vertex i (declaration order, counting from 1) gets
 code i, so the all-zero vertex code is reserved to mean "undefined".
 The first |V| edge codes are reserved for the per-vertex identity
-steps; real edges follow in declaration order. All widths are clamped
-to at least one wire.
+steps; real edges follow in the enumeration's edge order. A fixed
+graph's edges are ordered by (source, target), which shrinks its
+source and target lookups; a capacity encoding keeps declaration
+order, because there the codes are the universal spec's rows. All
+widths are clamped to at least one wire.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from . import budget
@@ -133,11 +136,18 @@ def path_end(g: Graph, p: Path) -> int:
 
 @dataclass(frozen=True)
 class Enumeration:
-    """Binary codes for one graph's vertices, identities and edges."""
+    """Binary codes for one graph's vertices, identities and edges.
+
+    ``order[r]`` is the edge whose code is |V| + r, declaration order
+    by default; ``rank`` is its inverse, the rank of each edge. An
+    order that is not a permutation of the edge indices is refused.
+    """
 
     graph: Graph
     v_bits: int
     e_bits: int
+    order: tuple[int, ...] | None = None
+    rank: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.graph
@@ -149,6 +159,16 @@ class Enumeration:
             raise ValidationError(
                 f"{self.e_bits} edge bits cannot hold {g.n_edges}+{g.n_vertices} codes"
             )
+        order = tuple(range(g.n_edges) if self.order is None else self.order)
+        if len(order) != g.n_edges or set(order) != set(range(g.n_edges)):
+            raise ValidationError(
+                f"edge order must be a permutation of the {g.n_edges} edge indices"
+            )
+        rank = [0] * g.n_edges
+        for r, j in enumerate(order):
+            rank[j] = r
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "rank", tuple(rank))
 
     @property
     def n_vertices(self) -> int:
@@ -175,7 +195,7 @@ class Enumeration:
     def edge_code(self, j: int) -> BitVector:
         if not 0 <= j < self.n_edges:
             raise LookupError(f"no edge {j}")
-        return BitVector.from_int(self.n_vertices + j, self.e_bits)
+        return BitVector.from_int(self.n_vertices + self.rank[j], self.e_bits)
 
     def step_code(self, step: Step) -> BitVector:
         if isinstance(step, IdStep):
@@ -191,16 +211,23 @@ class Enumeration:
         if 0 <= value < self.n_vertices:
             return IdStep(value)
         if value < self.n_vertices + self.n_edges:
-            return EdgeStep(value - self.n_vertices)
+            return EdgeStep(self.order[value - self.n_vertices])
         return None
 
 
 def enumerate_graph(g: Graph, v_bits: int | None = None, e_bits: int | None = None) -> Enumeration:
-    """Assign binary codes to a graph, optionally at wider capacity widths."""
+    """Assign binary codes to a graph, optionally at wider capacity widths.
+
+    Edges take their codes in (source, target) order, ties in
+    declaration order, so that edges sharing endpoints sit in adjacent
+    rows of the source and target tables.
+    """
+    edges = g.edges
     return Enumeration(
         g,
         vertex_width(g.n_vertices) if v_bits is None else v_bits,
         edge_width(g.n_edges, g.n_vertices) if e_bits is None else e_bits,
+        tuple(sorted(range(len(edges)), key=lambda j: (edges[j].src, edges[j].tgt))),
     )
 
 
@@ -236,16 +263,10 @@ def _endpoint_table(en: Enumeration, g: Graph, pick) -> TruthTable:
         raise ValidationError("enumeration was derived from a different graph")
     # the budget synth applies to these tables, before any row
     budget.check("synth-width", en.e_bits, "an endpoint table", "inputs")
-    zero = BitVector.zeros(en.v_bits)
-    rows = []
-    for value in range(1 << en.e_bits):
-        step = en.decode_step(value)
-        if step is None:
-            rows.append(zero)
-        elif isinstance(step, IdStep):
-            rows.append(en.vertex_code(step.vertex))
-        else:
-            rows.append(en.vertex_code(pick(g.edges[step.edge])))
+    # identity rows, then the edges in code order, then the unassigned codes
+    codes = [BitVector.from_int(i + 1, en.v_bits) for i in range(en.n_vertices)]
+    rows = codes + [codes[pick(g.edges[j])] for j in en.order]
+    rows += [BitVector.zeros(en.v_bits)] * ((1 << en.e_bits) - len(rows))
     return TruthTable(en.e_bits, en.v_bits, tuple(rows))
 
 

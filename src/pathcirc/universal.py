@@ -47,7 +47,7 @@ from .graphs import (
     Graph,
     all_graphs,
     edge_width,
-    enumerate_graph,
+    enumerate_graph,  # noqa: F401 -- perfbench/tracing.py wraps universal.enumerate_graph
     family_size,
     source_table,
     target_table,
@@ -86,12 +86,16 @@ class GraphEncoding:
 
 
 def capacity_enumeration(g: Graph, m: int, n: int) -> Enumeration:
-    """Enumerate a graph at the widths of capacity (m, n)."""
+    """Enumerate a graph at the widths of capacity (m, n).
+
+    Edges keep declaration order: here the codes are the rows of the
+    universal spec, so each graph of the family encodes as declared
+    (see :func:`~pathcirc.graphs.enumerate_graph` for fixed graphs)."""
     if g.n_vertices > n:
         raise CapacityError(f"{g.n_vertices} vertices exceed capacity {n}")
     if g.n_edges > m:
         raise CapacityError(f"{g.n_edges} edges exceed capacity {m}")
-    return enumerate_graph(g, v_bits=vertex_width(n), e_bits=edge_width(m, n))
+    return Enumeration(g, vertex_width(n), edge_width(m, n))
 
 
 def encode_graph(g: Graph, m: int, n: int) -> GraphEncoding:

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from bristol_ref import run_bristol
-from pathcirc import match_circuit, to_json
+from pathcirc import EdgeStep, Path, enumerate_graph, match_circuit, pad_path, parse_graph, to_json
 from pathcirc.cli import main
 
 AB_JSON = '{"vertices":["a","b"],"edges":[["e","a","b"]]}'
@@ -186,6 +186,32 @@ class TestVerifyPath:
         assert main(["verify-path", "--graph", ab_graph, "--start", "a",
                      "--path", "zap"]) == 1
         assert "unknown edge" in capsys.readouterr().err
+
+
+class TestEdgeCodes:
+    def test_codes_agree_across_compile_verify_path_and_pad_path(self, tmp_path, capsys):
+        # declared against (source, target) order, so the codes are not
+        # the declaration indices
+        text = ('{"vertices":["a","b","c"],"edges":[["z","c","a"],["y","b","c"],'
+                '["x","a","b"],["w","a","a"]]}')
+        graph, out = tmp_path / "g.json", tmp_path / "pv.json"
+        graph.write_text(text, encoding="utf-8")
+        assert main(["compile", "--graph", str(graph), "--length", "1",
+                     "--out", str(out)]) == 0
+        meta = json.loads(out.read_text())["metadata"]
+        assert meta["edge_codes"] == {"z": "110", "y": "101", "x": "100", "w": "011"}
+        g = parse_graph(text)
+        en = enumerate_graph(g)
+        for j, e in enumerate(g.edges):
+            src, tgt = g.vertices[e.src], g.vertices[e.tgt]
+            code = meta["edge_codes"][e.name]
+            assert [str(c) for c in pad_path(en, Path(e.src, (EdgeStep(j),)), 1)] == [code]
+            assert main(["eval", "--circuit", str(out), "--input",
+                         meta["vertex_codes"][src] + code]) == 0
+            assert capsys.readouterr().out.strip() == "1" + meta["vertex_codes"][tgt]
+            assert main(["verify-path", "--graph", str(graph), "--start", src,
+                         "--path", e.name, "--end", tgt]) == 0
+            assert "circuit: valid" in capsys.readouterr().out
 
 
 class TestEncodeGraph:

@@ -14,6 +14,7 @@ from pathcirc import (
     BudgetError,
     Edge,
     EdgeStep,
+    Enumeration,
     Graph,
     GraphHom,
     IdStep,
@@ -119,6 +120,35 @@ class TestEnumeration:
         assert len(set(ecodes)) == g.n_vertices + g.n_edges
         assert [en.identity_code(i).value for i in range(g.n_vertices)] == list(range(g.n_vertices))
         assert all(en.edge_code(j).value >= g.n_vertices for j in range(g.n_edges))
+
+    def test_order_defaults_to_declaration_order(self):
+        en = Enumeration(ABC, 2, 3)
+        assert en.order == (0, 1) and en.rank == (0, 1)
+        assert [en.edge_code(j).value for j in range(2)] == [3, 4]
+
+    @pytest.mark.parametrize("order", [(0,), (1, 1), (0, 2), (0, 1, 2), ("a", "b")])
+    def test_an_order_that_is_no_permutation_is_refused(self, order):
+        with pytest.raises(ValidationError, match="permutation"):
+            Enumeration(ABC, 2, 3, order)
+
+    def test_fixed_graph_codes_follow_source_then_target(self):
+        # declared out of order, with two parallel edges c -> a kept in
+        # declaration order
+        g = parse_graph('{"vertices":["a","b","c"],"edges":[["z1","c","a"],'
+                        '["y","b","c"],["z2","c","a"],["x","a","b"],["w","a","a"]]}')
+        en = enumerate_graph(g)
+        assert en.order == (4, 3, 1, 0, 2)
+        assert [en.edge_code(j).value for j in range(5)] == [6, 5, 7, 4, 3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs())
+    def test_edge_codes_sort_by_endpoints_and_decode_back(self, g):
+        en = enumerate_graph(g)
+        by_code = sorted(range(g.n_edges), key=lambda j: en.edge_code(j).value)
+        assert by_code == sorted(range(g.n_edges),
+                                 key=lambda j: (g.edges[j].src, g.edges[j].tgt, j))
+        assert all(en.decode_step(en.edge_code(j).value) == EdgeStep(j)
+                   for j in range(g.n_edges))
 
 
 class TestTables:

@@ -28,10 +28,10 @@ WORKLOADS = {
         bristol_by_op={"AND": 335, "XOR": 292, "INV": 137, "EQ": 0, "EQW": 0},
         gates_by_kind={"NAND": 1_085, "COPY": 1_038, "TRUE": 0, "FALSE": 0})),
     "wide-graph": (lambda: random_multigraph(32, 64, Random(1909)), 1, None, dict(
-        inputs=19, gates=1_340, wires=2_020, nand_gates=679, nand_depth=27,
-        bristol_gates=589,
-        bristol_by_op={"AND": 225, "XOR": 302, "INV": 62, "EQ": 0, "EQW": 0},
-        gates_by_kind={"NAND": 679, "COPY": 661, "TRUE": 0, "FALSE": 0})),
+        inputs=19, gates=1_136, wires=1_714, nand_gates=577, nand_depth=27,
+        bristol_gates=490,
+        bristol_by_op={"AND": 190, "XOR": 238, "INV": 62, "EQ": 0, "EQW": 0},
+        gates_by_kind={"NAND": 577, "COPY": 559, "TRUE": 0, "FALSE": 0})),
     "universal": (None, 2, (2, 2), dict(
         inputs=24, gates=1_047, wires=1_583, nand_gates=535, nand_depth=29,
         bristol_gates=366,

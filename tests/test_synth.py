@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bv, de_bruijn
+from helpers import bv, de_bruijn, random_multigraph
 from pathcirc import (
     BitVector,
     BudgetError,
@@ -212,6 +212,13 @@ class TestSharedDiagram:
         g = parse_graph(json.dumps(de_bruijn(3)))
         en = enumerate_graph(g)
         assert source_circuit(g, en).gate_count + target_circuit(g, en).gate_count == 182
+
+    def test_seeded_multigraph_lookups(self):
+        # 64 vertices, 128 edges: 2,312 gates with the edges coded in
+        # declaration order, 1,776 in (source, target) order
+        g = parse_graph(json.dumps(random_multigraph(64, 128, Random(1909))))
+        en = enumerate_graph(g)
+        assert source_circuit(g, en).gate_count + target_circuit(g, en).gate_count == 1_776
 
 
 MATCH2_ROWS = [

@@ -11,12 +11,15 @@ from helpers import bv
 from pathcirc import (
     BitVector,
     CapacityError,
+    Edge,
+    Graph,
     GraphEncoding,
     ValidationError,
     WidthError,
     capacity_enumeration,
     encode_graph,
     encoding_width,
+    enumerate_graph,
     ext_equal,
     parse_graph,
     path_oracle,
@@ -54,6 +57,14 @@ class TestEncoding:
         rows = [r.bits for r in source_table(en, AB).rows]
         rows += [r.bits for r in target_table(en, AB).rows]
         assert enc.bits.bits == tuple(b for row in rows for b in row)
+
+    def test_capacity_codes_keep_declaration_order(self):
+        # a fixed graph's codes sort its edges by (source, target); the
+        # spec rows of a capacity encoding stay in declaration order
+        g = Graph(("a", "b"), (Edge("e1", 1, 0), Edge("e2", 0, 1)))
+        assert enumerate_graph(g).order == (1, 0)
+        assert capacity_enumeration(g, 2, 2).order == (0, 1)
+        assert len({encode_graph(h, 2, 2).bits for h in (g, Graph(g.vertices, g.edges[::-1]))}) == 2
 
     def test_capacity_equals_natural_widths_here(self):
         en = capacity_enumeration(AB, 1, 2)

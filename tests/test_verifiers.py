@@ -39,6 +39,24 @@ ABC = parse_graph(
 )
 
 
+def assert_matches_oracle(g, en, k):
+    """The k-step path verifier agrees with the oracle on every input."""
+    pv = path_verifier(g, en, k)
+    total = en.v_bits + k * en.e_bits
+    for x in range(1 << total):
+        bits = BitVector.from_int(x, total)
+        state = BitVector(bits.bits[:en.v_bits])
+        steps = [
+            BitVector(bits.bits[en.v_bits + i * en.e_bits:en.v_bits + (i + 1) * en.e_bits])
+            for i in range(k)
+        ]
+        valid, end = path_oracle(g, en, state, steps)
+        flag, out = pv.run(state, BitVector(bits.bits[en.v_bits:]))
+        assert flag == int(valid)
+        if valid:
+            assert out == end
+
+
 class TestKpIdentity:
     def test_passes_state_with_true_flag(self):
         ident = kp_identity(3)
@@ -173,23 +191,20 @@ class TestPathVerifier:
     def test_matches_oracle_exhaustively_small(self):
         for n, m in [(1, 1), (2, 1), (2, 2)]:
             for g in all_graphs(n, m):
-                en = enumerate_graph(g)
                 for k in (0, 1, 2):
-                    pv = path_verifier(g, en, k)
-                    total = en.v_bits + k * en.e_bits
-                    for x in range(1 << total):
-                        bits = BitVector.from_int(x, total)
-                        state = BitVector(bits.bits[:en.v_bits])
-                        steps = [
-                            BitVector(bits.bits[en.v_bits + i * en.e_bits:
-                                                en.v_bits + (i + 1) * en.e_bits])
-                            for i in range(k)
-                        ]
-                        valid, end = path_oracle(g, en, state, steps)
-                        flag, out = pv.run(state, BitVector(bits.bits[en.v_bits:]))
-                        assert flag == int(valid)
-                        if valid:
-                            assert out == end
+                    assert_matches_oracle(g, enumerate_graph(g), k)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_oracle_with_edges_declared_out_of_order(self, seed):
+        # edge codes follow (source, target), not the declaration order
+        rng = Random(seed)
+        doc = random_multigraph(rng.randint(2, 3), rng.randint(3, 4), rng)
+        shuffled = doc["edges"][:]
+        rng.shuffle(shuffled)
+        for edges in (shuffled, doc["edges"][::-1]):
+            g = parse_graph(json.dumps({"vertices": doc["vertices"], "edges": edges}))
+            for k in (0, 1, 2):
+                assert_matches_oracle(g, enumerate_graph(g), k)
 
     def test_large_graph_under_the_default_budget(self):
         # a 200-cycle plus 300 seeded chords; the per-output-bit DNF
