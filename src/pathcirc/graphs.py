@@ -210,7 +210,7 @@ class Enumeration:
         """Step for an assigned edge code value, else None."""
         if 0 <= value < self.n_vertices:
             return IdStep(value)
-        if value < self.n_vertices + self.n_edges:
+        if self.n_vertices <= value < self.n_vertices + self.n_edges:
             return EdgeStep(self.order[value - self.n_vertices])
         return None
 

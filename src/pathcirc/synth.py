@@ -3,8 +3,9 @@
 A table is lowered by :func:`robdd` as one reduced ordered binary
 decision diagram (ROBDD, Bryant 1986) that all its output bits share.
 Its select wires are read MSB first (in :func:`synth`, the inputs, so
-input wire 0 is the top variable), and a terminal is a constant or a
-wire w of the circuit, such as a universal spec bit: the literal node
+input wire 0 is the top variable), and each output bit is given as a
+column of terminals, one per row: a constant or a wire w of the
+circuit, such as a universal spec bit, which is the literal node
 (w, 1, 0). A node on wire s with children hi (s = 1) and lo (s = 0) is
 built once per distinct (s, hi, lo) and is a multiplexer,
 NAND(NAND(s, hi), NAND(NOT s, lo)), unless a child is constant: then
@@ -20,10 +21,10 @@ blocks of every verifier in the package.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from . import budget
-from .circuits import _DIGITS, BitVector, Circuit, CircuitBuilder
+from .circuits import BitVector, Circuit, CircuitBuilder
 from .graphs import Enumeration, Graph, TruthTable, source_table, target_table
 
 __all__ = [
@@ -42,19 +43,25 @@ def synth(table: TruthTable) -> Circuit:
     """Lower a truth table to a circuit, exactly, as one shared ROBDD."""
     budget.check("synth-width", table.in_width, "the truth table", "inputs")
     b = CircuitBuilder(table.in_width)
-    columns = [int(bytes(bits).translate(_DIGITS), 2)
-               for bits in zip(*(row.bits for row in reversed(table.rows)))]
-    return b.finish(robdd(b, b.inputs(), columns))
+    return b.finish(robdd(b, b.inputs(), zip(*(row.bits for row in table.rows))))
 
 
-def robdd(b: CircuitBuilder, selects: list[int], columns: list[int],
-          leaves: Sequence[int] = (), k: int = 1) -> list[int]:
+def robdd(b: CircuitBuilder, selects: list[int], columns: Iterable[Sequence[int]],
+          leaves: Sequence[int] = ()) -> list[int]:
     """Emit into `b` one shared ROBDD of `columns` over the wires
-    `selects`, read MSB first; return a wire per column. Bits x*k ..
-    x*k + k - 1 of a column are its terminal where the selects read x:
-    0 or 1 for that constant, 2 + i for the wire ``leaves[i]`` of `b` (distinct).
-    A terminal past the last leaf raises :class:`ValueError`."""
+    `selects`, read MSB first; return a wire per column. ``column[x]``
+    is the column's terminal where the selects read x: 0 or 1 for that
+    constant, 2 + i for the wire ``leaves[i]`` of `b` (distinct). A
+    column shorter than 2^len(selects) is 0 on the rows it leaves out.
+    A terminal past the last leaf raises :class:`ValueError`, or
+    :class:`OverflowError` if it needs more bytes than the last leaf."""
     width = len(selects)
+    # each column is packed into one int, `size` bytes per row, to key the memo
+    size = ((len(leaves) + 1).bit_length() + 7) // 8
+    k = 8 * size
+    packed = [int.from_bytes(bytes(column) if size == 1 else
+                             b"".join(t.to_bytes(size, "little") for t in column), "little")
+              for column in columns]
     # unique[(wire, hi, lo)]: that node's id; 0, 1 the constants, 2 + i the leaf i
     unique = {(w, 1, 0): i for i, w in enumerate(leaves, 2)}
     memo: dict[tuple[int, int], int] = {}
@@ -74,7 +81,7 @@ def robdd(b: CircuitBuilder, selects: list[int], columns: list[int],
                                                               len(unique) + 2)
         return memo[key]
 
-    roots = [node(0, column) for column in columns]
+    roots = [node(0, column) for column in packed]
     reads = [0] * (len(unique) + 2)
     for n in roots:
         reads[n] += 1

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 
 from . import budget
 from .circuits import BitVector, Circuit, CircuitBuilder
@@ -181,32 +180,28 @@ def _spec_valid(b: CircuitBuilder, spec: list[int], m: int, n: int,
     row r < n.
     """
     v_bits, rows = vertex_width(n), 1 << edge_width(m, n)
+    codes = range(1 << v_bits)
     # the edgeless graph on n vertices holds the identity codes in its first n rows
     (edgeless,) = all_graphs(n, 0)
     steps = encode_graph(edgeless, m, n).bits.bits
     layout = [_row(r, m, n) for r in range(rows)]
     uses = Counter(key for _, _, rule in layout for product in rule for key in product)
-    # both cells of a row read a copy of the identity flag of row x - 1 for each
-    # checked x; the codes a row checks are a run, so the runs' ends are counted
-    starts = Counter(checked.start for _, checked, _ in layout if checked)
-    stops = Counter(checked.stop for _, checked, _ in layout if checked)
-    runs = accumulate(starts[x] - stops[x] for x in range(n + 1))
-    uses.update({("id", x - 1): 2 * count for x, count in enumerate(runs) if count})
+    # both cells of a row read a copy of the identity flag of row x - 1 for each checked x
+    for _, checked, _ in layout:
+        uses.update({("id", x - 1): 2 for x in checked})
     uses.update(("id", r) for r in range(n) if identities)
     wires, terms = {}, []
     for r, (edges, checked, _) in enumerate(layout):
         cells = [slice((t * rows + r) * v_bits, (t * rows + r + 1) * v_bits) for t in (0, 1)]
         step = BitVector(steps[cells[0]]).value
-        # terminal 2 + i is the leaf i, a copy of the identity flag of row checked[i] - 1
-        k = (len(checked) + 1).bit_length()
-        ones = ((1 << (k << v_bits)) - 1) // ((1 << k) - 1)  # terminal 1 on every code
         keys = [("id", r)] * (step > 0) + [("zero", r)] * (r > 0) + [("edge", r)] * bool(edges)
-        columns = [1 << step * k] * (step > 0) + [1] * (r > 0)
+        columns = [[x == step for x in codes]] * (step > 0) + [[1]] * (r > 0)
         if edges:
-            columns.append(ones >> ((1 << v_bits) - len(edges)) * k << k)
+            columns.append([x in edges for x in codes])
         if checked:
-            columns.append(ones + sum(i << x * k for i, x in enumerate(checked, 1)))
-        outs = [robdd(b, spec[cell], columns, [wires["id", x - 1].pop() for x in checked], k)
+            # terminal 2 + i is the leaf i, a copy of the identity flag of row checked[i] - 1
+            columns.append([2 + checked.index(x) if x in checked else 1 for x in codes])
+        outs = [robdd(b, spec[cell], columns, [wires["id", x - 1].pop() for x in checked])
                 for cell in cells]
         for key, source, target in zip(keys, *outs):
             wires[key] = b.fanout(b.and_(source, target), uses[key])
@@ -238,10 +233,8 @@ def _lookup(m: int, n: int, side: int) -> Circuit:
     end = start + used * v_bits
     checked, table = b.fanout_bus(spec[start:end], 2)
     valid, _ = _spec_valid(b, spec[:start] + checked + spec[end:], m, n)
-    # bit j of row r < n + m is the leaf table[r * v_bits + j], terminal id 2 + that index
-    k = (len(table) + 1).bit_length()
-    out = robdd(b, edge, [sum(i + 2 << r * k for r, i in enumerate(range(j, len(table), v_bits)))
-                          for j in range(v_bits)], table, k)
+    # bit j of row r < n + m is the leaf table[r * v_bits + j], terminal 2 + that index
+    out = robdd(b, edge, [range(2 + j, 2 + len(table), v_bits) for j in range(v_bits)], table)
     return b.finish([b.and_(on, bit) for on, bit in zip(b.fanout(valid, v_bits), out)])
 
 
@@ -277,9 +270,8 @@ def _assigned(m: int, n: int) -> Circuit:
     f_bits = encoding_width(m, n)
     b = CircuitBuilder(f_bits + vertex_width(n))
     valid, ids = _spec_valid(b, b.inputs()[:f_bits], m, n, identities=True)
-    # code s in 1..n reads the leaf ids[s - 1], terminal id s + 1
-    k = (n + 1).bit_length()
-    (hit,) = robdd(b, b.inputs()[f_bits:], [sum(s + 1 << s * k for s in range(1, n + 1))], ids, k)
+    # code s in 1..n reads the leaf ids[s - 1], terminal s + 1
+    (hit,) = robdd(b, b.inputs()[f_bits:], [[0, *range(2, n + 2)]], ids)
     return b.finish([b.and_(valid, hit)])
 
 

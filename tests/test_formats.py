@@ -325,7 +325,7 @@ class TestBristol:
     def test_a_robdd_multiplexer_is_one_and(self):
         b = CircuitBuilder(3)
         # leaves 0 and 1 (terminals 2 and 3) where the select is 1 and 0
-        (w,) = robdd(b, [0], [2 << 2 | 3], leaves=[1, 2], k=2)
+        (w,) = robdd(b, [0], [[3, 2]], leaves=[1, 2])
         c = b.finish([w])
         text = to_bristol(c)
         assert ops(text) == {"AND": 1, "XOR": 2}

@@ -8,9 +8,12 @@ them and says so in CHANGES.md.
 from __future__ import annotations
 
 import hashlib
+import json
+from random import Random
 
 import pytest
 
+from helpers import de_bruijn, random_multigraph
 from pathcirc import (
     EdgeStep,
     IdStep,
@@ -24,10 +27,12 @@ from pathcirc import (
     seq,
     snarkize,
     tensor,
+    to_bristol,
     to_json,
     universal_verifier,
     xor_gate,
 )
+from pathcirc.universal import universal_source
 
 ABC = parse_graph(
     '{"vertices":["a","b","c"],"edges":[["e1","a","b"],["e2","b","c"]]}'
@@ -35,7 +40,11 @@ ABC = parse_graph(
 
 
 def sha256(circuit) -> str:
-    return hashlib.sha256(to_json(circuit).encode("utf-8")).hexdigest()
+    return text_sha256(to_json(circuit))
+
+
+def text_sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("k, digest", [
@@ -92,3 +101,38 @@ def test_seq():
 def test_tensor():
     assert sha256(tensor(xor_gate(), match_circuit(2))) == \
         "85e980f82b6c5ec414eaf822f701960e2ee9a934cd1009ac5dcb7f862b291ec7"
+
+
+def fixed_graph_verifier(doc: dict, k: int):
+    g = parse_graph(json.dumps(doc))
+    return path_verifier(g, enumerate_graph(g), k)
+
+
+# The benchmark's three workloads (perfbench/workloads.py): the snark
+# circuit's JSON and its Bristol text.
+BENCHMARK_VERIFIERS = {
+    "long-walk": lambda: fixed_graph_verifier(de_bruijn(3), 8),
+    "wide-graph": lambda: fixed_graph_verifier(random_multigraph(32, 64, Random(1909)), 1),
+    "universal": lambda: universal_verifier(2, 2, 2),
+}
+
+
+@pytest.mark.parametrize("workload, json_digest, bristol_digest", [
+    ("long-walk",
+     "b5741e237ea0d2944b2b24e218e7f3e5789f747403d6deb240554189ff07ad47",
+     "5471c22d17779e74cacf062564400a44b2ff5fe4ce3f923d9a168ea42be59278"),
+    ("wide-graph",
+     "987dc17cd613112994618691a03a2fc217aa822b766bfdafe0967d3df75b37ff",
+     "ed976c97f1d1130fe15091f24b4f2d1faca8dd2a032a35e2382d0b0ac68d4cb4"),
+    ("universal",
+     "4949f24d430c9705b6d849e0ea19607d9a15b2df881a24739fcf6b509551d3ed",
+     "18789d946d00284f39ae6d49637f0c89a381f1307616d3383cc72322906e1cbc"),
+])
+def test_benchmark_snark(workload, json_digest, bristol_digest):
+    snark = snarkize(BENCHMARK_VERIFIERS[workload]())
+    assert (sha256(snark), text_sha256(to_bristol(snark))) == (json_digest, bristol_digest)
+
+
+def test_universal_source():
+    assert sha256(universal_source(8, 8)) == \
+        "f13f836ee09b8113da09de231531c4502fcb464e1814402523fe26b7b964ddc6"

@@ -140,6 +140,16 @@ class TestEnumeration:
         assert en.order == (4, 3, 1, 0, 2)
         assert [en.edge_code(j).value for j in range(5)] == [6, 5, 7, 4, 3]
 
+    def test_decode_step_is_none_off_the_assigned_codes(self):
+        # 2 vertices and 3 edges: codes 0..1 are identities, 2..4 edges
+        g = parse_graph('{"vertices":["a","b"],"edges":[["x","a","b"],'
+                        '["y","b","a"],["z","a","a"]]}')
+        en = enumerate_graph(g)
+        assert [en.decode_step(v) for v in range(-6, 0)] == [None] * 6
+        assert [en.decode_step(v) for v in range(2)] == [IdStep(0), IdStep(1)]
+        assert {en.decode_step(v) for v in range(2, 5)} == {EdgeStep(j) for j in range(3)}
+        assert [en.decode_step(v) for v in range(5, 9)] == [None] * 4
+
     @settings(max_examples=60, deadline=None)
     @given(graphs())
     def test_edge_codes_sort_by_endpoints_and_decode_back(self, g):

@@ -256,10 +256,8 @@ class TestWireLeaves:
         terminals = st.integers(0, n_leaves + 1)
         rows = data.draw(st.lists(st.lists(terminals, min_size=1 << width, max_size=1 << width),
                                   min_size=1, max_size=3), label="columns")
-        k = (n_leaves + 1).bit_length() + data.draw(st.integers(0, 1), label="spare bits")
         b = CircuitBuilder(width + n_leaves)
-        columns = [sum(t << x * k for x, t in enumerate(column)) for column in rows]
-        c = b.finish(robdd(b, b.inputs()[:width], columns, leaves, k))
+        c = b.finish(robdd(b, b.inputs()[:width], rows, leaves))
         got = truth_columns(c)
         for a in range(1 << c.n_inputs):  # input wire 0 is the most significant bit of a
             bits = BitVector.from_int(a, c.n_inputs).bits
@@ -273,12 +271,33 @@ class TestWireLeaves:
     def test_a_terminal_past_the_last_leaf_is_refused(self, n_leaves, x):
         """A terminal 2 + len(leaves) names no wire; unchecked, it would
         read as the id of an internal node. Nothing is emitted."""
-        width, k = 2, 3
+        width = 2
         b = CircuitBuilder(width + n_leaves)
-        column = (2 + n_leaves) << x * k
+        column = [0] * x + [2 + n_leaves]
         with pytest.raises(ValueError, match=f"terminal {2 + n_leaves} names no"):
-            robdd(b, b.inputs()[:width], [column], b.inputs()[width:], k)
+            robdd(b, b.inputs()[:width], [column], b.inputs()[width:])
         assert b.finish([]).gate_count == 0
+
+    @pytest.mark.parametrize("length", [0, 1, 3])
+    def test_a_short_column_reads_0_on_the_rows_it_leaves_out(self, length):
+        width = 2
+        b = CircuitBuilder(width + 1)
+        column = [2, 1, 2][:length]
+        c = b.finish(robdd(b, b.inputs()[:width], [column], [width]))
+        for a in range(1 << c.n_inputs):
+            x, leaf = a >> 1, a & 1
+            want = 0 if x >= length else leaf if column[x] == 2 else column[x]
+            assert c.evaluate(BitVector.from_int(a, c.n_inputs)).bits == (want,)
+
+    def test_terminals_wider_than_a_byte(self):
+        # 300 leaves: terminals run to 301, packed two bytes per row
+        b = CircuitBuilder(1 + 300)
+        leaves = b.inputs()[1:]
+        c = b.finish(robdd(b, [0], [[301, 2], [257, 1]], leaves))
+        for select, last, first, other in product((0, 1), repeat=4):
+            bits = [select, first] + [0] * 254 + [other] + [0] * 43 + [last]
+            row = (last, other) if select == 0 else (first, 1)
+            assert c.evaluate(BitVector(tuple(bits))).bits == row
 
 
 class TestMatch:
