@@ -166,38 +166,38 @@ def to_bristol(c: Circuit) -> str:
     a literal: a Bristol wire and a complement bit. Inputs are positive
     literals, and a COPY, already an alias in the program, emits nothing.
     A NAND of two equal literals is that literal complemented and emits
-    nothing either, so NOT is free. Every other NAND is a node.
-
-    Two patterns of nodes are rewritten when their inner nodes have no
-    reader outside the pattern; otherwise they take the generic path:
+    nothing either, so NOT is free. Every other NAND is a node, and one
+    pass gives each node one of four forms:
 
     - XOR: NAND(NAND(a, t), NAND(t, b)) with t = NAND(a, b), as
-      :meth:`~pathcirc.circuits.CircuitBuilder.xor` builds it, is one XOR
-      of the wires of a and b. Their complement bits fold into its literal.
+      :meth:`~pathcirc.circuits.CircuitBuilder.xor` builds it, when its
+      inner nodes have no reader outside the pattern. It is one XOR of
+      the wires of a and b; their complement bits fold into its literal.
     - MUX: NAND(NAND(s, x), NAND(NOT s, y)), a node of
-      :func:`~pathcirc.synth.robdd`, is y XOR (s AND (x XOR y)): one AND
-      and two XORs, where the generic path takes two ANDs. A complemented
-      s swaps x and y. Over two complemented children the result is the
-      complement of the MUX of their wires. When exactly one child is
-      complemented, that child is made positive through its wire's one
-      INV, so the result is a positive literal and complements do not
-      spread up the BDD.
+      :func:`~pathcirc.synth.robdd`, when nothing else reads its inner
+      nodes. It is y XOR (s AND (x XOR y)): one AND and two XORs, not
+      two ANDs. A complemented s swaps x and y. Over two complemented
+      children the result is the complement of the MUX of their wires.
+      When exactly one child is complemented, that child is made positive
+      through its wire's one INV, so the result is a positive literal and
+      complements do not spread up the BDD.
+    - OR: the multiplexer shape when an inner node has another reader and
+      both inner nodes are ANDs. These are never both 1, so their OR is
+      one XOR of the two AND wires, a positive literal.
+    - AND: any other node. It emits one AND over its operands made
+      positive -- a complemented operand through an INV, emitted at most
+      once per wire -- and is the complement of that AND.
 
-    Any other node emits one AND over its operands made positive -- a
-    complemented operand through an INV, emitted at most once per wire --
-    and is the complement of that AND, with one exception. A node that
-    reads two nodes emitted as ANDs, where an operand literal of one is
-    the complement of an operand literal of the other, is the OR of two
-    ANDs that are never both 1. It is emitted as one XOR of the two AND
-    wires, a positive literal: this is a MUX whose inner NAND has a second
-    reader. So there is never more than one AND per NAND. A constant is
-    one EQ gate with a literal 0/1 source, emitted only if a node or an
-    output reads it. A final block moves the outputs to the trailing
-    wires the format requires: an INV for a complemented output, an EQW
-    for a positive one. When a positive output is a gate output that
-    nothing else reads, the gate writes straight into the output region
-    instead; its nominal internal wire stays reserved, so the wire count
-    is always inputs + emitted gates before the output block + outputs.
+    An inner node of an XOR or a MUX may be an OR by itself, but not an
+    XOR or a MUX, and emits nothing. So there is never more than one AND
+    per NAND. A constant is one EQ gate with a literal 0/1 source,
+    emitted only if a node or an output reads it. A final block moves
+    the outputs to the trailing wires the format requires: an INV for a
+    complemented output, an EQW for a positive one. When a positive
+    output is a gate output that nothing else reads, the gate writes
+    straight into the output region instead; its nominal internal wire
+    stays reserved, so the wire count is always inputs + emitted gates
+    before the output block + outputs.
     """
     left, right, outputs = c._program
     n_in = c.n_inputs
@@ -205,18 +205,18 @@ def to_bristol(c: Circuit) -> str:
     # node[v]: program value v as a literal over the nodes -- the inputs,
     # the constants and every NAND of two distinct literals -- twice the
     # node's value id, plus 1 for its complement. NAND value v reads the
-    # literals lefts[v - first] and rights[v - first]; reads[u] counts the
-    # nodes and outputs that read node u.
+    # literals operands[v - first]. reads[u] counts the nodes and outputs
+    # that read node u; form[u] is node u's form, or None.
     node = list(range(0, 2 * first, 2))
     reads = [0] * (first + len(left))
-    lefts: list[int] = []
-    rights: list[int] = []
+    form: list[Any] = [None] * first + ["AND"] * len(left)
+    operands: list[tuple[int, int]] = []
     pairs: list[int] = []  # the NAND nodes that read two NAND nodes
     for a, b in zip(left, right):
         la, lb = node[a], node[b]
-        lefts.append(la)
-        rights.append(lb)
+        operands.append((la, lb))
         if la == lb:
+            form[len(node)] = None
             node.append(la ^ 1)
             continue
         reads[la >> 1] += 1
@@ -227,34 +227,29 @@ def to_bristol(c: Circuit) -> str:
     for v in outputs:
         reads[node[v] >> 1] += 1
 
-    def operands(u: int) -> tuple[int, int]:
-        return lefts[u - first], rights[u - first]
-
-    # rewrite[v]: the operand literals (a, b) of the XOR, or (s, x, y) of
-    # the MUX, that node v is; inner[u]: node u is read only by such a pattern
-    rewrite: dict[int, tuple[int, ...]] = {}
-    inner = bytearray(len(node))
     for v in pairs:
-        lp, lq = operands(v)
+        lp, lq = operands[v - first]
         p, q = lp >> 1, lq >> 1
-        if reads[p] != 1 or reads[q] != 1 or p in rewrite or q in rewrite:
-            continue
-        (p0, p1), (q0, q1) = operands(p), operands(q)
+        (p0, p1), (q0, q1) = operands[p - first], operands[q - first]
+        alone = (reads[p] == reads[q] == 1  # only v reads p and q, neither an XOR or a MUX
+                 and form[p] in ("AND", "OR") and form[q] in ("AND", "OR"))
         for t, a in ((p0, p1), (p1, p0)):
             b = q0 + q1 - t
-            if t in (q0, q1) and t >= 2 * first and not t & 1 and reads[t >> 1] == 2 \
-                    and t >> 1 not in rewrite and operands(t >> 1) in ((a, b), (b, a)):
-                rewrite[v] = a, b
-                inner[t >> 1] = 1
+            if alone and t in (q0, q1) and t >= 2 * first and not t & 1 \
+                    and reads[t >> 1] == 2 and form[t >> 1] in ("AND", "OR") \
+                    and operands[(t >> 1) - first] in ((a, b), (b, a)):
+                form[v] = "XOR", a, b
+                form[p] = form[q] = form[t >> 1] = None
                 break
         else:
             for s, x in ((p0, p1), (p1, p0)):
                 if s ^ 1 in (q0, q1):
-                    rewrite[v] = s, x, q0 + q1 - (s ^ 1)
+                    if alone:
+                        form[v] = "MUX", s, x, q0 + q1 - (s ^ 1)
+                        form[p] = form[q] = None
+                    elif form[p] == form[q] == "AND":
+                        form[v] = "OR"
                     break
-            else:
-                continue
-        inner[p] = inner[q] = 1
 
     # Emitted gate i has operator ops[i] and sources srcs[i], and writes
     # Bristol wire n_in + i. lit[u] is the literal holding node u: twice
@@ -283,34 +278,23 @@ def to_bristol(c: Circuit) -> str:
             inverse[w] = emit("INV", w)
         return inverse[w]
 
-    ands: dict[int, tuple[int, int]] = {}  # ands[w]: operand literals of the AND on wire w
-    for v, u, w in zip(range(first, len(node)), lefts, rights):
-        if u == w or inner[v]:
-            continue
-        if v in rewrite:
-            literals = [lit[n >> 1] ^ (n & 1) for n in rewrite[v]]
-            if len(literals) == 2:
-                la, lb = literals
+    for v, (u, w) in enumerate(operands, first):
+        match form[v]:
+            case "AND":
+                la, lb = lit[u >> 1] ^ (u & 1), lit[w >> 1] ^ (w & 1)
+                lit[v] = 2 * emit("AND", positive(la), positive(lb)) + 1
+            case "OR":
+                lit[v] = 2 * emit("XOR", lit[u >> 1] >> 1, lit[w >> 1] >> 1)
+            case ("XOR", a, b):
+                la, lb = lit[a >> 1] ^ (a & 1), lit[b >> 1] ^ (b & 1)
                 lit[v] = 2 * emit("XOR", la >> 1, lb >> 1) + ((la ^ lb) & 1)
-                continue
-            ls, lx, ly = literals
-            flip = lx & ly & 1
-            wx, wy = (positive(lx), positive(ly)) if (lx ^ ly) & 1 else (lx >> 1, ly >> 1)
-            if ls & 1:
-                wx, wy = wy, wx
-            lit[v] = 2 * emit("XOR", wy, emit("AND", ls >> 1, emit("XOR", wx, wy))) + flip
-            continue
-        la, lb = lit[u >> 1] ^ (u & 1), lit[w >> 1] ^ (w & 1)
-        # an odd literal on an AND's wire is that AND's complement, whatever NANDs led there
-        if la & lb & 1 and la >> 1 in ands and lb >> 1 in ands:
-            x, y = ands[la >> 1], ands[lb >> 1]
-            if x[0] ^ 1 in y or x[1] ^ 1 in y:
-                # a NAND of two ANDs that are never both 1 is their OR, so their XOR
-                lit[v] = 2 * emit("XOR", la >> 1, lb >> 1)
-                continue
-        wire = emit("AND", positive(la), positive(lb))
-        ands[wire] = la, lb
-        lit[v] = 2 * wire + 1
+            case ("MUX", s, x, y):
+                ls, lx, ly = (lit[n >> 1] ^ (n & 1) for n in (s, x, y))
+                flip = lx & ly & 1
+                wx, wy = (positive(lx), positive(ly)) if (lx ^ ly) & 1 else (lx >> 1, ly >> 1)
+                if ls & 1:
+                    wx, wy = wy, wx
+                lit[v] = 2 * emit("XOR", wy, emit("AND", ls >> 1, emit("XOR", wx, wy))) + flip
 
     next_wire = n_in + len(ops)
     outs = list(range(n_in, next_wire))

@@ -215,8 +215,8 @@ class Enumeration:
         return None
 
 
-def enumerate_graph(g: Graph, v_bits: int | None = None, e_bits: int | None = None) -> Enumeration:
-    """Assign binary codes to a graph, optionally at wider capacity widths.
+def enumerate_graph(g: Graph) -> Enumeration:
+    """Assign binary codes to a graph, at the narrowest widths that hold them.
 
     Edges take their codes in (source, target) order, ties in
     declaration order, so that edges sharing endpoints sit in adjacent
@@ -225,8 +225,8 @@ def enumerate_graph(g: Graph, v_bits: int | None = None, e_bits: int | None = No
     edges = g.edges
     return Enumeration(
         g,
-        vertex_width(g.n_vertices) if v_bits is None else v_bits,
-        edge_width(g.n_edges, g.n_vertices) if e_bits is None else e_bits,
+        vertex_width(g.n_vertices),
+        edge_width(g.n_edges, g.n_vertices),
         tuple(sorted(range(len(edges)), key=lambda j: (edges[j].src, edges[j].tgt))),
     )
 

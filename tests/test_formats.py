@@ -118,6 +118,52 @@ def pattern_circuits():
             xor_with_a_second_reader("p"), xnor, inverted, synth(table)]
 
 
+def pattern_soup(rng: Random):
+    """A seeded soup of at most 6 inputs: XOR, XNOR, AND, OR, NOT, bare
+    NAND, hand-built XORs and multiplexers of both select polarities,
+    each reading recent results, so the patterns chain (a multiplexer
+    over an OR of two ANDs, an XOR whose shared NAND is such an OR). An
+    inner NAND of a hand-built pattern also goes, through a COPY, to a
+    later gate or an output two times in five."""
+    b = CircuitBuilder(rng.randrange(1, 7))
+    live = b.inputs()
+
+    def take() -> int:
+        """A recent live wire; half the time one copy of it, the other staying live."""
+        if not live:
+            live.append(rng.choice((b.true, b.false))())
+        w = live.pop(rng.randrange(max(0, len(live) - 3), len(live)))
+        if rng.random() < 0.5:
+            w, spare = b.copy(w)
+            live.append(spare)
+        return w
+
+    def inner(w: int) -> int:
+        if rng.random() < 0.4:
+            w, spare = b.copy(w)
+            live.append(spare)
+        return w
+
+    binary = {"xor": b.xor, "xnor": b.xnor, "and": b.and_, "or": b.or_, "nand": b.nand}
+    for _ in range(rng.randrange(1, 13)):
+        op = rng.choice([*binary, "not", "hand xor", "mux"])
+        if op in binary:
+            out = binary[op](take(), take())
+        elif op == "not":
+            out = b.not_(take())
+        elif op == "hand xor":
+            a1, a2 = b.copy(take())
+            c1, c2 = b.copy(take())
+            t1, t2 = b.copy(inner(b.nand(a1, c1)))
+            out = b.nand(inner(b.nand(a2, t1)), inner(b.nand(t2, c2)))
+        else:
+            s1, s2 = b.copy(take())
+            s, not_s = (s1, b.not_(s2)) if rng.random() < 0.5 else (b.not_(s1), s2)
+            out = b.nand(inner(b.nand(s, take())), inner(b.nand(not_s, take())))
+        live.append(out)
+    return b.finish(rng.sample(live, rng.randint(1, min(4, len(live)))))
+
+
 def gate_lines(text: str) -> list[str]:
     return text.splitlines()[4:]
 
@@ -353,6 +399,16 @@ class TestBristol:
         for x in range(1 << circuit.n_inputs):
             inp = BitVector.from_int(x, circuit.n_inputs)
             assert run_bristol(text, str(inp)) == str(circuit.evaluate(inp))
+
+    def test_the_rewrites_agree_with_the_reference_interpreter_on_pattern_soups(self):
+        rng = Random(2611)
+        for i in range(300):
+            c = pattern_soup(rng)
+            text = to_bristol(c)
+            assert ops(text)["AND"] <= c.kinds.count(CODE[NAND]), i
+            vectors = [BitVector.from_int(x, c.n_inputs) for x in range(1 << c.n_inputs)]
+            for inp, out in zip(vectors, evaluate_batch(c, vectors)):
+                assert run_bristol(text, str(inp)) == str(out), i
 
     @pytest.mark.parametrize("name", ["long-walk", "wide-graph", "universal"])
     def test_the_benchmark_snarks_have_fewer_ands_than_half_their_nands(self, name):

@@ -1,4 +1,5 @@
-"""Byte-identity guard: the JSON of a few verifiers, pinned by sha256.
+"""Byte-identity guard: the JSON and Bristol text of a few verifiers,
+pinned by sha256.
 
 A refactor that claims no behaviour change must leave these hashes
 alone. A change that alters the emitted circuits on purpose updates
@@ -136,3 +137,16 @@ def test_benchmark_snark(workload, json_digest, bristol_digest):
 def test_universal_source():
     assert sha256(universal_source(8, 8)) == \
         "f13f836ee09b8113da09de231531c4502fcb464e1814402523fe26b7b964ddc6"
+
+
+# Two larger snarks, pinned by their Bristol text only: a seeded 64 V /
+# 128 E graph at k = 2 (3,937 gates) and the universal (4,3) at k = 1
+# (1,094 gates).
+@pytest.mark.parametrize("verifier, digest", [
+    (lambda: fixed_graph_verifier(random_multigraph(64, 128, Random(1909)), 2),
+     "fa595836e05ced69846e1608ce792dcea17e85d078d60789410ba480b9702119"),
+    (lambda: universal_verifier(4, 3, 1),
+     "74454d35b8a239b7adab0a0b8a93269b02af0f24194ab43f2b89f136ac5294d2"),
+], ids=["fixed-64-128-k2", "universal-4-3-k1"])
+def test_bristol_snark(verifier, digest):
+    assert text_sha256(to_bristol(snarkize(verifier()))) == digest

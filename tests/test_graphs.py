@@ -105,8 +105,8 @@ class TestEnumeration:
         assert (en.v_bits, en.e_bits) == (1, 1)
 
     def test_capacity_widths_must_fit(self):
-        with pytest.raises(ValidationError):
-            enumerate_graph(ABC, v_bits=1)
+        with pytest.raises(ValidationError, match="vertex bits"):
+            Enumeration(ABC, 1, enumerate_graph(ABC).e_bits)
 
     @settings(max_examples=60, deadline=None)
     @given(graphs())

@@ -32,7 +32,7 @@ from pathcirc import (
     truth_columns,
 )
 from pathcirc.circuits import CODE, FALSE, TRUE, nand_depth
-from pathcirc.graphs import Graph, vertex_width
+from pathcirc.graphs import Enumeration, Graph, edge_width, vertex_width
 from pathcirc.synth import robdd
 
 
@@ -371,7 +371,7 @@ class TestAssignedVertices:
     def test_indicator_of_the_vertex_codes(self, extra):
         for n in range(70):
             g = Graph(tuple(f"v{i}" for i in range(n)), ())
-            en = enumerate_graph(g, v_bits=vertex_width(n) + extra)
+            en = Enumeration(g, vertex_width(n) + extra, edge_width(0, n))
             (col,) = truth_columns(assigned_vertex_circuit(en))
             assert col == (1 << (n + 1)) - 2
 
