@@ -304,10 +304,6 @@ class CircuitBuilder:
         self._next = n_inputs
         self._limit = budget.limit("gates")
 
-    @property
-    def gate_count(self) -> int:
-        return len(self.kinds)
-
     def inputs(self) -> list[int]:
         return list(range(self.n_inputs))
 

@@ -13,9 +13,7 @@ charge: XOR gates are free and only AND gates cost.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any, Mapping
 
 from . import budget
@@ -192,12 +190,13 @@ def to_bristol(c: Circuit) -> str:
     XOR or a MUX, and emits nothing. So there is never more than one AND
     per NAND. A constant is one EQ gate with a literal 0/1 source,
     emitted only if a node or an output reads it. A final block moves
-    the outputs to the trailing wires the format requires: an INV for a
-    complemented output, an EQW for a positive one. When a positive
-    output is a gate output that nothing else reads, the gate writes
-    straight into the output region instead; its nominal internal wire
-    stays reserved, so the wire count is always inputs + emitted gates
-    before the output block + outputs.
+    the outputs to the trailing wires the format requires. When a slot
+    is the only reader of a node that is not an input, and holds it as a
+    positive literal, the node's gate writes straight into the slot (a
+    gate emitted over a node's wire serves one of its counted readers);
+    its nominal internal wire stays reserved, so the wire count is always
+    inputs + emitted gates before the output block + outputs. Every
+    other slot gets an INV of a complemented literal or an EQW.
     """
     left, right, outputs = c._program
     n_in = c.n_inputs
@@ -299,17 +298,13 @@ def to_bristol(c: Circuit) -> str:
     next_wire = n_in + len(ops)
     outs = list(range(n_in, next_wire))
     n_wires = next_wire + c.n_outputs
-    read_wires = set(chain.from_iterable(srcs))
-    out_lits = [lit[u >> 1] ^ (u & 1) for u in map(node.__getitem__, outputs)]
-    uses = Counter(literal >> 1 for literal in out_lits)
-    for slot, literal in enumerate(out_lits):
-        wire = literal >> 1
-        target = next_wire + slot
-        if not literal & 1 and wire >= n_in and wire not in read_wires and uses[wire] == 1:
-            outs[wire - n_in] = target
+    for target, u in enumerate(map(node.__getitem__, outputs), next_wire):
+        literal = lit[u >> 1] ^ (u & 1)
+        if not literal & 1 and u >> 1 >= n_in and reads[u >> 1] == 1:
+            outs[(literal >> 1) - n_in] = target
         else:
             ops.append("INV" if literal & 1 else "EQW")
-            srcs.append((wire,))
+            srcs.append((literal >> 1,))
             outs.append(target)
 
     lines = [f"{len(ops)} {n_wires}",

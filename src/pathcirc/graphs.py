@@ -19,6 +19,7 @@ widths are clamped to at least one wire.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -389,6 +390,15 @@ def parse_graph(text: str) -> Graph:
         if tgt not in index:
             raise ParseError(f"edge {i} ({name!r}): unknown target vertex {tgt!r}")
         parsed.append(Edge(name, index[src], index[tgt]))
+    # one pass over all the names: a lone surrogate, which a JSON \u
+    # escape can spell, is no text UTF-8 can write
+    names = vertices + [e.name for e in parsed]
+    try:
+        "".join(names).encode()
+    except UnicodeEncodeError as exc:
+        i = bisect.bisect(list(itertools.accumulate(map(len, names))), exc.start)
+        what, j = ("vertex", i) if i < len(vertices) else ("edge", i - len(vertices))
+        raise ParseError(f"{what} {j}: name {names[i]!r} is not valid Unicode text") from None
     return Graph(tuple(vertices), tuple(parsed))
 
 

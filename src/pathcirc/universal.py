@@ -27,8 +27,9 @@ the :class:`~pathcirc.verifiers.Verifier` shape with the encoding on
 the spec bus; a fixed-graph verifier is the same shape with an empty one.
 
 Every circuit here is polynomial in the capacity. A capacity whose
-spec bus alone is wider than the gate budget is refused before any gate
-is built; any other circuit over the budget is refused by its
+spec bus alone is wider than the gate budget, or whose edge code is
+wider than the synth-width budget, is refused before any gate is built;
+any other circuit over the budget is refused by its
 :class:`~pathcirc.circuits.CircuitBuilder` once it reaches the limit,
 so the cost of refusing one is bounded by the budget.
 """
@@ -46,7 +47,7 @@ from .graphs import (
     Graph,
     all_graphs,
     edge_width,
-    enumerate_graph,  # noqa: F401 -- perfbench/tracing.py wraps universal.enumerate_graph
+    enumerate_graph,
     family_size,
     source_table,
     target_table,
@@ -170,9 +171,9 @@ def _spec_valid(b: CircuitBuilder, spec: list[int], m: int, n: int,
     Each table cell is one :func:`~pathcirc.synth.robdd` over its wires,
     with a column per flag of its row, and a flag is the AND of the two
     cells' outputs: row r is an identity row (both cells hold r + 1,
-    read off the encoding of the edgeless graph on n vertices), a zero
-    row, or an edge row (both cells hold codes in 1..min(n, r)). The
-    spec is valid iff every row's rule holds (see :func:`_row`) and row
+    read off row r of the edgeless graph's source table on n vertices),
+    a zero row, or an edge row (both cells hold codes in 1..min(n, r)).
+    The spec is valid iff every row's rule holds (see :func:`_row`) and row
     x - 1 is an identity row for each code x an edge row holds where no
     rule implies it: the cell's last column, 1 on every other code and
     a copy of row x - 1's identity flag on x, is a term of the flag.
@@ -183,7 +184,7 @@ def _spec_valid(b: CircuitBuilder, spec: list[int], m: int, n: int,
     codes = range(1 << v_bits)
     # the edgeless graph on n vertices holds the identity codes in its first n rows
     (edgeless,) = all_graphs(n, 0)
-    steps = encode_graph(edgeless, m, n).bits.bits
+    steps = source_table(enumerate_graph(edgeless), edgeless).rows
     layout = [_row(r, m, n) for r in range(rows)]
     uses = Counter(key for _, _, rule in layout for product in rule for key in product)
     # both cells of a row read a copy of the identity flag of row x - 1 for each checked x
@@ -193,7 +194,7 @@ def _spec_valid(b: CircuitBuilder, spec: list[int], m: int, n: int,
     wires, terms = {}, []
     for r, (edges, checked, _) in enumerate(layout):
         cells = [slice((t * rows + r) * v_bits, (t * rows + r + 1) * v_bits) for t in (0, 1)]
-        step = BitVector(steps[cells[0]]).value
+        step = steps[r].value if r < n else 0
         keys = [("id", r)] * (step > 0) + [("zero", r)] * (r > 0) + [("edge", r)] * bool(edges)
         columns = [[x == step for x in codes]] * (step > 0) + [[1]] * (r > 0)
         if edges:
@@ -214,11 +215,15 @@ def _spec_valid(b: CircuitBuilder, spec: list[int], m: int, n: int,
 
 
 def _refuse_over_budget(m: int, n: int, what: str) -> None:
-    """Refuse `what` at capacity (m, n) if the capacity is not one, or
-    if its spec bus alone is wider than the gate budget. The builder
-    refuses any larger circuit as its gates are emitted."""
+    """Refuse `what` at capacity (m, n) if the capacity is not one, if
+    its spec bus alone is wider than the gate budget, or if its edge
+    code is wider than the synth-width budget: its lookups lower a table
+    of a row per edge code. The builder refuses any larger circuit as
+    its gates are emitted."""
     _check_capacity(m, n)
-    budget.check("gates", encoding_width(m, n), f"{what} at capacity ({m}, {n})", "spec wires")
+    where = f"{what} at capacity ({m}, {n})"
+    budget.check("gates", encoding_width(m, n), where, "spec wires")
+    budget.check("synth-width", edge_width(m, n), where, "edge-code bits")
 
 
 def _lookup(m: int, n: int, side: int) -> Circuit:

@@ -187,6 +187,16 @@ class TestVerifyPath:
                      "--path", "zap"]) == 1
         assert "unknown edge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["verify-path", "--start", "a", "--path", "e"],
+                                      ["compile", "--length", "1"]])
+    def test_a_lone_surrogate_name_is_one_error_line(self, tmp_path, capsys, argv):
+        # the JSON escape decodes to a name no UTF-8 stream can print
+        graph = tmp_path / "g.json"
+        graph.write_text(r'{"vertices":["a","\ud800"],"edges":[["e","a","\ud800"]]}',
+                         encoding="utf-8")
+        assert main(argv[:1] + ["--graph", str(graph)] + argv[1:]) == 1
+        one_error_line(capsys, "ParseError")
+
 
 class TestEdgeCodes:
     def test_codes_agree_across_compile_verify_path_and_pad_path(self, tmp_path, capsys):
@@ -301,6 +311,13 @@ class TestNumbersAtTheBoundary:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "BudgetError" in err and "PATHCIRC_BUDGET=gates=" in err
+
+    def test_an_edge_code_over_synth_width_is_refused_in_one_line(self, capsys):
+        assert main(["compile-universal", "--max-vertices", "1", "--max-edges", "100000",
+                     "--length", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "17 edge-code bits" in err
+        assert "PATHCIRC_BUDGET=synth-width=N" in err
 
     def test_zero_edges_is_a_capacity(self, capsys):
         assert main(["compile-universal", "--max-vertices", "1", "--max-edges", "0",

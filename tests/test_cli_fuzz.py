@@ -45,7 +45,7 @@ DOCUMENTS = [GRAPH, KP, ZKP, compiled(["compile", "--graph", "GRAPH", "--length"
 
 NASTY = st.sampled_from([
     -1, 0, 1, 2, 3, 7, 2.5, 1.0, 1e400, True, False, None, "1", "", "01", [], {}, [0], [1, 2],
-    10 ** 30, 2 ** 64,
+    10 ** 30, 2 ** 64, "\ud800",
 ])
 
 
@@ -172,8 +172,10 @@ def test_main_never_prints_a_traceback(argv, graph, a, b):
         files["MISSING/out.json"] = os.path.join(tmp, "missing", "out.json")
         argv = [files.get(arg, arg) for arg in argv]
         err = io.StringIO()
+        # a UTF-8 stream, like a real stdout: a StringIO accepts text none can print
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
         with mock.patch.dict(os.environ, {"PATHCIRC_BUDGET": BUDGET}), \
-                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:

@@ -103,6 +103,24 @@ def xor_with_a_second_reader(inner: str):
     return b.finish([out, t3] if inner == "t" else [out, p_out, b.not_(t3)])
 
 
+def xor_with_readers(readers: str):
+    """An XOR of inputs 0 and 1 read by one output slot, by a slot and
+    an AND with input 2, or by two slots."""
+    b = CircuitBuilder(2 if readers == "slot" else 3)
+    x = b.xor(0, 1)
+    if readers == "slot":
+        return b.finish([x])
+    x1, x2 = b.copy(x)
+    return b.finish([x1, b.and_(x2, 2) if readers == "slot and AND" else x2])
+
+
+def true_with_an_and():
+    """TRUE read by an output slot and by an AND with input 0."""
+    b = CircuitBuilder(1)
+    t1, t2 = b.copy(b.true())
+    return b.finish([t1, b.and_(t2, 0)])
+
+
 def pattern_circuits():
     """Circuits whose NAND programs hold the XOR and MUX patterns, with
     and without a second reader of an inner NAND."""
@@ -419,6 +437,22 @@ class TestBristol:
         b = CircuitBuilder(4)
         c = b.finish([b.nand(b.nand(0, 1), b.nand(2, 3))])
         assert ops(to_bristol(c)) == {"AND": 3, "INV": 3}
+
+    @pytest.mark.parametrize("circuit, text", [
+        # the XOR writes its slot, wire 3; wire 2 stays reserved
+        (xor_with_readers("slot"), "1 4\n1 2\n1 1\n\n2 1 0 1 3 XOR\n"),
+        # the AND writes its own slot, and the XOR's slot is an EQW
+        (xor_with_readers("slot and AND"),
+         "3 7\n1 3\n1 2\n\n2 1 0 1 3 XOR\n2 1 3 2 6 AND\n1 1 3 5 EQW\n"),
+        (xor_with_readers("two slots"),
+         "3 6\n1 3\n1 2\n\n2 1 0 1 3 XOR\n1 1 3 4 EQW\n1 1 3 5 EQW\n"),
+        (true_with_an_and(), "3 5\n1 1\n1 2\n\n1 1 1 1 EQ\n2 1 1 0 4 AND\n1 1 1 3 EQW\n"),
+    ])
+    def test_a_gate_writes_the_one_slot_that_alone_reads_it(self, circuit, text):
+        assert to_bristol(circuit) == text
+        for x in range(1 << circuit.n_inputs):
+            inp = BitVector.from_int(x, circuit.n_inputs)
+            assert run_bristol(text, str(inp)) == str(circuit.evaluate(inp))
 
     def test_the_wide_graph_snark_has_xors_and_no_more_ands_than_nands(self):
         c = snarkize(benchmark_verifier("wide-graph"))

@@ -72,6 +72,21 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_graph("{nope")
 
+    def test_a_lone_surrogate_vertex_name_is_refused(self):
+        with pytest.raises(ParseError) as info:
+            parse_graph(r'{"vertices":["a","\ud800"],"edges":[["e","a","\ud800"]]}')
+        assert str(info.value) == r"vertex 1: name '\ud800' is not valid Unicode text"
+
+    def test_a_lone_surrogate_edge_name_is_refused(self):
+        with pytest.raises(ParseError) as info:
+            parse_graph(r'{"vertices":["a","b"],"edges":[["e","a","b"],["\udfff","b","a"]]}')
+        assert str(info.value) == r"edge 1: name '\udfff' is not valid Unicode text"
+
+    def test_a_surrogate_pair_is_one_valid_character(self):
+        g = parse_graph(r'{"vertices":["a","\ud83d\ude00"],"edges":[["\ud83d\ude00","a","a"]]}')
+        assert g.vertices == ("a", "\U0001F600")
+        assert g.edges == (Edge("\U0001F600", 0, 0),)
+
     def test_order_preserved(self):
         g = parse_graph('{"vertices":["z","y","x"],"edges":[["q","x","z"],["p","z","z"]]}')
         assert g.vertices == ("z", "y", "x")

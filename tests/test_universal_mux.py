@@ -157,6 +157,23 @@ def test_huge_capacities_are_refused_before_any_gate(m, n, monkeypatch):
         universal_verifier(m, n, 0)
 
 
+@pytest.mark.parametrize("build, capacity", [
+    (lambda: universal_source(100000, 1), r"a universal lookup at capacity \(100000, 1\)"),
+    (lambda: universal_verifier(70000, 3, 0), r"the spec validity check at capacity \(70000, 3\)"),
+], ids=["lookup", "empty walk"])
+def test_an_edge_code_over_synth_width_is_refused_before_any_gate(build, capacity, monkeypatch):
+    """A universal circuit lowers a table of a row per edge code, so an
+    edge code wider than synth-width is refused as such, not by a table
+    of the spec check."""
+    def no_builder(self, n_inputs):
+        raise AssertionError("a circuit was started over the synth-width budget")
+
+    monkeypatch.setattr(CircuitBuilder, "__init__", no_builder)
+    with pytest.raises(BudgetError, match=capacity + " has 17 edge-code bits, over the "
+                                          "synth-width budget 16"):
+        build()
+
+
 def flag(m: int, n: int):
     """The validity flag alone: spec in, one bit out."""
     b = CircuitBuilder(encoding_width(m, n))
