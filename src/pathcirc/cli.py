@@ -54,18 +54,22 @@ def _enumeration_metadata(g: Graph, en) -> dict:
     }
 
 
+# the Verifier width fields, in declaration order
+_PARTITION = ("in_width", "spec_width", "witness_width", "out_width")
+
+
+def _partition(v: Verifier) -> dict[str, int]:
+    """A verifier's wire partition as document metadata: the fields of
+    ``_PARTITION``, without ``spec_width`` when the spec bus is empty."""
+    return {name: getattr(v, name) for name in _PARTITION
+            if name != "spec_width" or v.spec_width}
+
+
 def _cmd_compile(args) -> int:
     g = parse_graph(_read(args.graph))
     en = enumerate_graph(g)
     pv = path_verifier(g, en, args.length)
-    metadata = {
-        "kind": "kp",
-        "k": args.length,
-        "in_width": pv.in_width,
-        "witness_width": pv.witness_width,
-        "out_width": pv.out_width,
-        **_enumeration_metadata(g, en),
-    }
+    metadata = {"kind": "kp", "k": args.length, **_partition(pv), **_enumeration_metadata(g, en)}
     _emit(pv.circuit, metadata, args.format, args.out)
     return 0
 
@@ -73,31 +77,22 @@ def _cmd_compile(args) -> int:
 def _cmd_compile_universal(args) -> int:
     m, n, k = args.max_edges, args.max_vertices, args.length
     uv = universal_verifier(m, n, k)
-    metadata = {
-        "kind": "zkp",
-        "k": k,
-        "max_edges": m,
-        "max_vertices": n,
-        "in_width": uv.in_width,
-        "spec_width": uv.spec_width,
-        "witness_width": uv.witness_width,
-        "out_width": uv.out_width,
-    }
+    metadata = {"kind": "zkp", "k": k, "max_edges": m, "max_vertices": n, **_partition(uv)}
     _emit(uv.circuit, metadata, args.format, args.out)
     return 0
 
 
 def _wire_partition(meta: dict, kind: str) -> dict[str, int]:
-    """The verifier widths a compiled document's metadata declares.
+    """The verifier widths a compiled document's metadata declares, the
+    fields of ``_PARTITION`` that :func:`_partition` wrote.
 
     Each is a JSON integer (not a bool, float or string), at least 0,
     and ``out_width`` at least 1. A ``kp`` verifier has no spec bus.
     """
-    names = ["in_width", "witness_width", "out_width"]
-    if kind == "zkp":
-        names.append("spec_width")
     widths = {"spec_width": 0}
-    for name in names:
+    for name in _PARTITION:
+        if name == "spec_width" and kind == "kp":
+            continue
         if name not in meta:
             raise ParseError(f"circuit metadata lacks the wire partition field {name!r}")
         widths[name] = json_int(meta[name], 1 if name == "out_width" else 0,

@@ -81,13 +81,13 @@ class Graph:
         try:
             return self.vertices.index(name)
         except ValueError:
-            raise KeyError(f"unknown vertex {name!r}") from None
+            raise LookupError(f"unknown vertex {name!r}") from None
 
     def edge_index(self, name: str) -> int:
         for i, e in enumerate(self.edges):
             if e.name == name:
                 return i
-        raise KeyError(f"unknown edge {name!r}")
+        raise LookupError(f"unknown edge {name!r}")
 
 
 @dataclass(frozen=True)

@@ -100,9 +100,13 @@ def capacity_enumeration(g: Graph, m: int, n: int) -> Enumeration:
 
 def encode_graph(g: Graph, m: int, n: int) -> GraphEncoding:
     """Serialise a graph's tables at capacity; codes beyond the graph's
-    own elements stay unassigned, so their rows are all-zero."""
+    own elements stay unassigned, so their rows are all-zero. A table
+    over a budget is refused, naming the capacity."""
     en = capacity_enumeration(g, m, n)
-    tables = source_table(en, g), target_table(en, g)
+    try:
+        tables = source_table(en, g), target_table(en, g)
+    except BudgetError as exc:
+        raise BudgetError(f"the encoding at capacity ({m}, {n}): {exc}") from exc
     return GraphEncoding(m, n, BitVector(tuple(bit for table in tables
                                                for row in table.rows for bit in row.bits)))
 

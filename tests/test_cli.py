@@ -7,7 +7,17 @@ import json
 import pytest
 
 from bristol_ref import run_bristol
-from pathcirc import EdgeStep, Path, enumerate_graph, match_circuit, pad_path, parse_graph, to_json
+from pathcirc import (
+    EdgeStep,
+    Path,
+    enumerate_graph,
+    match_circuit,
+    pad_path,
+    parse_graph,
+    path_verifier,
+    to_json,
+    universal_verifier,
+)
 from pathcirc.cli import main
 
 AB_JSON = '{"vertices":["a","b"],"edges":[["e","a","b"]]}'
@@ -80,6 +90,33 @@ class TestCompileUniversal:
         assert doc["metadata"]["kind"] == "zkp"
         assert doc["metadata"]["spec_width"] == 16
         assert doc["n_inputs"] == 2 + 16 + 2
+
+
+def partition(v) -> dict[str, int]:
+    return {"in_width": v.in_width, "spec_width": v.spec_width,
+            "witness_width": v.witness_width, "out_width": v.out_width}
+
+
+class TestMetadataLayout:
+    def test_compile(self, ab_graph, capsys):
+        assert main(["compile", "--graph", ab_graph, "--length", "2"]) == 0
+        meta = json.loads(capsys.readouterr().out)["metadata"]
+        assert list(meta) == ["kind", "k", "in_width", "witness_width", "out_width",
+                              "v_bits", "e_bits", "vertex_codes", "identity_codes",
+                              "edge_codes"]
+        g = parse_graph(AB_JSON)
+        widths = partition(path_verifier(g, enumerate_graph(g), 2))
+        assert widths.pop("spec_width") == 0
+        assert {name: meta[name] for name in widths} == widths
+
+    def test_compile_universal(self, capsys):
+        assert main(["compile-universal", "--max-vertices", "2", "--max-edges", "1",
+                     "--length", "2"]) == 0
+        meta = json.loads(capsys.readouterr().out)["metadata"]
+        assert list(meta) == ["kind", "k", "max_edges", "max_vertices", "in_width",
+                              "spec_width", "witness_width", "out_width"]
+        widths = partition(universal_verifier(1, 2, 2))
+        assert {name: meta[name] for name in widths} == widths
 
 
 class TestSnarkize:
@@ -182,10 +219,16 @@ class TestVerifyPath:
         assert main(["verify-path", "--graph", ab_graph, "--start", "a"]) == 0
         assert "end a" in capsys.readouterr().out
 
-    def test_unknown_edge_name(self, ab_graph, capsys):
-        assert main(["verify-path", "--graph", ab_graph, "--start", "a",
-                     "--path", "zap"]) == 1
-        assert "unknown edge" in capsys.readouterr().err
+    @pytest.mark.parametrize("flags, message", [
+        (["--start", "zz"], "unknown vertex 'zz'"),
+        (["--start", "a", "--path", "nope"], "unknown edge 'nope'"),
+        (["--start", "a", "--end", "zz"], "unknown vertex 'zz'"),
+        # how a non-UTF-8 argument byte reaches main: surrogate-escaped
+        (["--start", "\udcff"], "unknown vertex '\\udcff'"),
+    ], ids=["start", "path", "end", "surrogate"])
+    def test_an_unknown_name_is_its_message(self, ab_graph, capsys, flags, message):
+        assert main(["verify-path", "--graph", ab_graph] + flags) == 1
+        assert capsys.readouterr().err == f"error: LookupError: {message}\n"
 
     @pytest.mark.parametrize("argv", [["verify-path", "--start", "a", "--path", "e"],
                                       ["compile", "--length", "1"]])
@@ -455,5 +498,6 @@ class TestNoTraceback:
                      "--max-edges", "8"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "PATHCIRC_BUDGET=synth-width=" in err
+        assert "capacity (8, 2)" in err
         assert main(["encode-graph", "--graph", ab_graph, "--max-vertices", "2",
                      "--max-edges", "6"]) == 0

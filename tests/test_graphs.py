@@ -87,6 +87,16 @@ class TestParse:
         assert g.vertices == ("a", "\U0001F600")
         assert g.edges == (Edge("\U0001F600", 0, 0),)
 
+    @pytest.mark.parametrize("lookup, name, message", [
+        (AB.vertex_index, "zz", "unknown vertex 'zz'"),
+        (AB.edge_index, "nope", "unknown edge 'nope'"),
+    ])
+    def test_an_unknown_name_is_a_lookup_error(self, lookup, name, message):
+        # a LookupError, not a KeyError: str() of a KeyError is its repr
+        with pytest.raises(LookupError) as info:
+            lookup(name)
+        assert type(info.value) is LookupError and str(info.value) == message
+
     def test_order_preserved(self):
         g = parse_graph('{"vertices":["z","y","x"],"edges":[["q","x","z"],["p","z","z"]]}')
         assert g.vertices == ("z", "y", "x")

@@ -10,6 +10,7 @@ import pytest
 from helpers import bv
 from pathcirc import (
     BitVector,
+    BudgetError,
     CapacityError,
     Edge,
     Graph,
@@ -79,6 +80,10 @@ class TestEncoding:
     def test_bad_width_rejected(self):
         with pytest.raises(ValidationError):
             GraphEncoding(1, 2, bv("01"))
+
+    def test_a_table_over_the_synth_width_names_the_capacity(self):
+        with pytest.raises(BudgetError, match=r"capacity \(100000, 1\).*synth-width"):
+            encode_graph(Graph(("a",), ()), 100000, 1)
 
     @pytest.mark.parametrize("m,n", [(1, 2), (2, 2)])
     def test_distinct_graphs_encode_distinctly(self, m, n):
