@@ -41,6 +41,7 @@ circuit at once store equal programs, and either one may stay.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
@@ -169,6 +170,15 @@ class Circuit:
         kinds, ins = self.kinds, self.ins
         if self.n_inputs < 0:
             raise ValidationError("n_inputs must be non-negative")
+        for name in ("output_map", "ins"):
+            try:
+                array("q", getattr(self, name))
+            except TypeError:
+                bad = next(w for w in getattr(self, name) if not isinstance(w, int))
+                raise ValidationError(f"{name} holds a wire id that is not an integer: "
+                                      f"{bad!r}") from None
+            except OverflowError:
+                pass  # an integer this large is refused below as an undefined wire
         unknown = kinds.translate(None, _CODES)
         if unknown:
             raise ValidationError(f"unknown gate kind code {unknown[0]}")

@@ -53,15 +53,24 @@ def robdd(b: CircuitBuilder, selects: list[int], columns: Iterable[Sequence[int]
     is the column's terminal where the selects read x: 0 or 1 for that
     constant, 2 + i for the wire ``leaves[i]`` of `b` (distinct). A
     column shorter than 2^len(selects) is 0 on the rows it leaves out.
-    A terminal past the last leaf raises :class:`ValueError`, or
-    :class:`OverflowError` if it needs more bytes than the last leaf."""
+    A terminal below 0 or past the last leaf raises :class:`ValueError`
+    before any gate is emitted."""
     width = len(selects)
+
+    def refuse(terminal: int):
+        raise ValueError(f"terminal {terminal} names no constant or leaf: "
+                         f"there are {len(leaves)} leaves")
+
     # each column is packed into one int, `size` bytes per row, to key the memo
     size = ((len(leaves) + 1).bit_length() + 7) // 8
     k = 8 * size
-    packed = [int.from_bytes(bytes(column) if size == 1 else
-                             b"".join(t.to_bytes(size, "little") for t in column), "little")
-              for column in columns]
+    packed = []
+    for column in columns:
+        try:
+            packed.append(int.from_bytes(bytes(column) if size == 1 else b"".join(
+                t.to_bytes(size, "little") for t in column), "little"))
+        except (ValueError, OverflowError):  # a terminal that does not fit its bytes
+            refuse(next(t for t in column if not 0 <= t < len(leaves) + 2))
     # unique[(wire, hi, lo)]: that node's id; 0, 1 the constants, 2 + i the leaf i
     unique = {(w, 1, 0): i for i, w in enumerate(leaves, 2)}
     memo: dict[tuple[int, int], int] = {}
@@ -70,8 +79,7 @@ def robdd(b: CircuitBuilder, selects: list[int], columns: Iterable[Sequence[int]
         """The node of the function of selects s.. whose terminals are `column`."""
         if s == width:
             if column >= len(leaves) + 2:
-                raise ValueError(f"terminal {column} names no constant or leaf: "
-                                 f"there are {len(leaves)} leaves")
+                refuse(column)
             return column
         key = s, column
         if key not in memo:

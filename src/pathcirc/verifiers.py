@@ -12,10 +12,10 @@ walks of a graph. The snarkizator then folds the state output into the
 inputs (as a claimed result) leaving a single output bit, the shape
 SNARK toolchains consume.
 
-Every bracketing of a composite computes the same function, so a
-k-fold is built flat: one spec fan-out to all k parts and one balanced
-AND tree over their flags. Equality of verifiers is always extensional,
-never gate-list identity.
+Every bracketing of a composite computes the same function, so
+:func:`compose` builds any number of parts flat (a k-fold is k copies of
+the step): one spec fan-out and one balanced AND tree over their flags.
+Equality of verifiers is always extensional, never gate-list identity.
 """
 
 from __future__ import annotations
@@ -68,22 +68,18 @@ def verifier_identity(width: int, spec_width: int = 0) -> Verifier:
     return Verifier(width, spec_width, 0, width, b.finish([flag] + list(range(width))))
 
 
-def compose(f: Verifier, g: Verifier) -> Verifier:
-    """Chain two verifiers: state flows f then g, flags are ANDed.
+def compose(*parts: Verifier) -> Verifier:
+    """The composite of one or more verifiers, in one builder: state flows
+    through the parts in order, part i reads the i-th copy of the spec bus
+    and the i-th witness block, and the flags are joined by one balanced
+    AND tree. ``compose(compose(f, g), h)`` computes the same function.
 
-    Both halves read the one spec bus, duplicated with COPY. The witness
-    of the composite is f's witness block followed by g's. This is the
-    two-verifier case of :func:`_chain`, so ``compose(compose(f, g), h)``
-    and ``fold`` compute the same function but wire it differently.
+    Beyond the parts' gates it has one spec COPY per spec wire and one
+    flag AND (3 gates) per join, so a composite over the gate budget is
+    refused before any gate is emitted.
     """
-    return _chain([f, g])
-
-
-def _chain(parts: list[Verifier]) -> Verifier:
-    """The composite of one or more verifiers, in one builder: the spec
-    bus fanned out once to all parts, part i on the i-th spec copy, and
-    the part flags joined by one balanced AND tree after the last part.
-    Every bracketing of the parts computes this function."""
+    if not parts:
+        raise ValueError("compose needs at least one verifier")
     for f, g in zip(parts, parts[1:]):
         if f.out_width != g.in_width:
             raise WidthError(
@@ -92,6 +88,8 @@ def _chain(parts: list[Verifier]) -> Verifier:
         if f.spec_width != g.spec_width:
             raise WidthError(f"spec widths differ: {f.spec_width} vs {g.spec_width}")
     n, s = parts[0].in_width, parts[0].spec_width
+    gates = sum(part.circuit.gate_count for part in parts) + (len(parts) - 1) * (3 + s)
+    budget.check("gates", gates, f"a composite of {len(parts)} verifiers", "gates")
     b = CircuitBuilder(n + s + sum(part.witness_width for part in parts))
     wires = b.inputs()
     state, flags, at = wires[:n], [], n + s
@@ -122,19 +120,12 @@ def assemble_step(v_bits: int, spec_bits: int, e_bits: int,
 
 
 def fold(step: Verifier, k: int) -> Verifier:
-    """The k-fold composite of a step checker, k >= 1 (see :func:`_chain`).
-
-    Beyond the k steps it has k - 1 spec COPYs per spec wire and k - 1
-    flag ANDs (3 gates each), so the gate count is known exactly in
-    advance, and a fold over the gate budget is refused before any gate
-    is emitted. The flags are joined in a balanced tree, so the NAND
-    depth grows by at most 2*ceil(log2 k) over the step's.
-    """
+    """The k-fold composite of a step checker, k >= 1: :func:`compose` of
+    k copies. Its flags are joined in a balanced tree, so the NAND depth
+    grows by at most 2*ceil(log2 k) over the step's."""
     if k < 1:
         raise ValueError("fold needs k >= 1")
-    gates = k * step.circuit.gate_count + (k - 1) * (3 + step.spec_width)
-    budget.check("gates", gates, f"a {k}-step verifier", "gates")
-    return _chain([step] * k)
+    return compose(*[step] * k)
 
 
 def step_verifier(g: Graph, en: Enumeration) -> Verifier:

@@ -313,6 +313,27 @@ class TestStructuralValidity:
         with pytest.raises(ValidationError):
             Circuit(1, (3,))
 
+    @pytest.mark.parametrize("args, message", [
+        ((-1, ()), "n_inputs must be non-negative"),
+        ((1, (), bytes([9])), "unknown gate kind code 9"),
+        ((2, (2,), bytes([CODE[NAND]]), (0,)),
+         "the gates read 2 wires, but 1 input wires are given"),
+        ((1, (0.0,)), "output_map holds a wire id that is not an integer: 0.0"),
+        ((2, (2,), bytes([CODE[NAND]]), (0.0, 1)),
+         "ins holds a wire id that is not an integer: 0.0"),
+        ((1, (1 << 70, 0.0)), f"output_map references undefined wire {1 << 70}"),
+        ((2, (2,), bytes([CODE[NAND]]), (1 << 70, 1)), f"NAND gate reads undefined wire {1 << 70}"),
+    ])
+    def test_refusals_name_what_is_wrong(self, args, message):
+        with pytest.raises(ValidationError) as refused:
+            Circuit(*args)
+        assert str(refused.value) == message
+
+    def test_bool_wire_ids_are_the_ints_0_and_1(self):
+        c = Circuit(2, (True,), bytes([CODE[NAND]]), (False, True))
+        assert c == Circuit(2, (1,), bytes([CODE[NAND]]), (0, 1))
+        assert c.evaluate(bv("11")).bits == (1,)
+
     def test_immutable(self):
         c = and_gate()
         with pytest.raises(AttributeError):

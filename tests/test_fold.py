@@ -21,6 +21,7 @@ from pathcirc import (
     valid_graphs,
 )
 from pathcirc.circuits import nand_depth
+from pathcirc.formats import to_json
 from pathcirc.verifiers import fold
 
 ABC = parse_graph(
@@ -58,6 +59,12 @@ def test_fold_is_the_left_fold_of_compose(kind, k):
     assert folded.circuit.gate_count == left.circuit.gate_count
     assert Counter(folded.circuit.kinds) == Counter(left.circuit.kinds)
     assert same_function(step, folded.circuit, left.circuit)
+
+
+@pytest.mark.parametrize("kind", sorted(STEPS))
+def test_compose_of_k_steps_is_the_fold(kind):
+    step = STEPS[kind]()
+    assert to_json(compose(step, step, step).circuit) == to_json(fold(step, 3).circuit)
 
 
 FLAT_STEPS = {

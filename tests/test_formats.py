@@ -198,6 +198,17 @@ AND_DOC = {"format_version": "1", "n_inputs": 2, "n_outputs": 1,
            "output_map": [5]}
 
 
+def and_doc_with(path: tuple, value) -> str:
+    """AND_DOC's text with the entry at `path` set to `value`."""
+    doc = json.loads(json.dumps(AND_DOC))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return json.dumps(doc)
+
+
 class TestJson:
     @pytest.mark.parametrize("circuit", sample_circuits())
     def test_round_trip_is_gate_identical(self, circuit):
@@ -246,14 +257,22 @@ class TestJson:
         (("gates",), {"op": "NAND"}),
     ])
     def test_every_wire_and_count_is_a_json_integer(self, path, value):
-        doc = json.loads(json.dumps(AND_DOC))
-        *parents, last = path
-        node = doc
-        for key in parents:
-            node = node[key]
-        node[last] = value
         with pytest.raises(ParseError):
-            document_from_json(json.dumps(doc))
+            document_from_json(and_doc_with(path, value))
+
+    @pytest.mark.parametrize("path, value, error, message", [
+        (("gates", 1, "out"), [4, 3], ValidationError, "a gate writes wire 4, expected 3"),
+        (("gates", 0, "in"), [0], ValidationError,
+         "NAND gate must have 2 inputs / 1 outputs, got 1/1"),
+        # a wrong arity and a bad wire at once: the integer rule comes first
+        (("gates", 0, "in"), ["0"], ParseError, "gate 0: in and out must be lists of integers >= 0"),
+        (("n_outputs",), 2, ValidationError, "n_outputs does not match output_map length"),
+        (("metadata",), [], ParseError, "metadata must be a JSON object"),
+    ])
+    def test_refusals_name_what_is_wrong(self, path, value, error, message):
+        with pytest.raises(error) as refused:
+            document_from_json(and_doc_with(path, value))
+        assert type(refused.value) is error and str(refused.value) == message
 
     def test_deep_nesting_is_a_parse_error(self):
         with pytest.raises(ParseError):

@@ -72,11 +72,14 @@ EN = enumerate_graph(ABC)
 STEP = step_verifier(ABC, EN)
 # constructions with no size preview: only their builder bounds them
 UNPREVIEWED = {
-    "compose": lambda: compose(STEP, STEP).circuit,
     "seq": lambda: seq(source_circuit(ABC, EN), assigned_vertex_circuit(EN)),
     "tensor": lambda: tensor(source_circuit(ABC, EN), assigned_vertex_circuit(EN)),
     "edge_evaluator": lambda: edge_evaluator(ABC, EN, EdgeStep(1)).circuit,
 }
+
+
+def no_builder(n_inputs: int):
+    raise AssertionError("made a builder for a verifier over the gate budget")
 
 
 class TestGateBudget:
@@ -90,13 +93,26 @@ class TestGateBudget:
     @pytest.mark.parametrize("kind", ["fixed", "universal"])
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_one_gate_less_is_refused_before_composing(self, kind, k, monkeypatch):
-        def no_chain(parts):
-            raise AssertionError("composed a verifier over the gate budget")
-
+        step = build(kind, 1)
         monkeypatch.setenv("PATHCIRC_BUDGET", f"gates={fold_gates(kind, k) - 1}")
-        monkeypatch.setattr(verifiers, "_chain", no_chain)
+        monkeypatch.setattr(verifiers, "CircuitBuilder", no_builder)
         with pytest.raises(BudgetError, match="PATHCIRC_BUDGET=gates="):
-            build(kind, k)
+            verifiers.fold(step, k)
+
+    @pytest.mark.parametrize("kind", ["fixed", "universal"])
+    def test_compose_one_gate_over_is_refused_before_building(self, kind, monkeypatch):
+        f = build(kind, 1)
+        g = verifier_identity(f.out_width, f.spec_width)
+        size = compose(f, g).circuit.gate_count
+        assert size == f.circuit.gate_count + g.circuit.gate_count + 3 + f.spec_width
+        monkeypatch.setenv("PATHCIRC_BUDGET", f"gates={size - 1}")
+        monkeypatch.setattr(verifiers, "CircuitBuilder", no_builder)
+        with pytest.raises(BudgetError, match="composite of 2 verifiers has"):
+            compose(f, g)
+
+    def test_compose_needs_a_part(self):
+        with pytest.raises(ValueError, match="at least one verifier"):
+            compose()
 
     @pytest.mark.parametrize("kind", ["fixed", "universal"])
     def test_empty_walk_check_is_guarded(self, kind, monkeypatch):

@@ -278,6 +278,15 @@ class TestWireLeaves:
             robdd(b, b.inputs()[:width], [column], b.inputs()[width:])
         assert b.finish([]).gate_count == 0
 
+    @pytest.mark.parametrize("n_leaves, terminal", [(1, -1), (1, 300), (300, -1), (300, 70000)])
+    def test_a_terminal_outside_the_packing_is_refused_by_name(self, n_leaves, terminal):
+        """Packed one byte per row (1 leaf) or two (300 leaves), these
+        terminals do not fit their bytes; they are refused as terminals."""
+        b = CircuitBuilder(1 + n_leaves)
+        with pytest.raises(ValueError, match=f"terminal {terminal} names no"):
+            robdd(b, [0], [[0, 1], [1, terminal]], b.inputs()[1:])
+        assert not b.kinds
+
     @pytest.mark.parametrize("length", [0, 1, 3])
     def test_a_short_column_reads_0_on_the_rows_it_leaves_out(self, length):
         width = 2
