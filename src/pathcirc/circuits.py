@@ -86,7 +86,11 @@ class BitVector:
     def __post_init__(self):
         bits = tuple(self.bits)
         object.__setattr__(self, "bits", bits)
-        if bits.count(0) + bits.count(1) != len(bits):
+        try:
+            stray = bytes(bits).translate(None, b"\0\1")
+        except (TypeError, ValueError):  # not an int, or not a byte
+            stray = True
+        if stray:
             raise ValueError(f"bits must be 0 or 1: {bits!r}")
 
     @classmethod
@@ -133,7 +137,7 @@ class BitVector:
         return self.bits[i]
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return bytes(self.bits).translate(_DIGITS).decode()
 
 
 @dataclass(frozen=True)

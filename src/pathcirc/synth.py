@@ -52,25 +52,25 @@ def robdd(b: CircuitBuilder, selects: list[int], columns: Iterable[Sequence[int]
     `selects`, read MSB first; return a wire per column. ``column[x]``
     is the column's terminal where the selects read x: 0 or 1 for that
     constant, 2 + i for the wire ``leaves[i]`` of `b` (distinct). A
-    column shorter than 2^len(selects) is 0 on the rows it leaves out.
-    A terminal below 0 or past the last leaf raises :class:`ValueError`
-    before any gate is emitted."""
+    column has at most 2^len(selects) rows and is 0 on the rows it
+    leaves out. A longer column, or a terminal below 0 or past the last
+    leaf (the first such in row order is named), raises
+    :class:`ValueError` before any gate is emitted."""
     width = len(selects)
-
-    def refuse(terminal: int):
-        raise ValueError(f"terminal {terminal} names no constant or leaf: "
-                         f"there are {len(leaves)} leaves")
-
+    top = len(leaves) + 2
     # each column is packed into one int, `size` bytes per row, to key the memo
-    size = ((len(leaves) + 1).bit_length() + 7) // 8
+    size = ((top - 1).bit_length() + 7) // 8
     k = 8 * size
     packed = []
     for column in columns:
-        try:
-            packed.append(int.from_bytes(bytes(column) if size == 1 else b"".join(
-                t.to_bytes(size, "little") for t in column), "little"))
-        except (ValueError, OverflowError):  # a terminal that does not fit its bytes
-            refuse(next(t for t in column if not 0 <= t < len(leaves) + 2))
+        if len(column) > 1 << width:
+            raise ValueError(f"a column has {len(column)} rows, over the "
+                             f"2^{width} = {1 << width} its selects read")
+        if not 0 <= min(column, default=0) <= max(column, default=0) < top:
+            raise ValueError(f"terminal {next(t for t in column if not 0 <= t < top)} "
+                             f"names no constant or leaf: there are {len(leaves)} leaves")
+        packed.append(int.from_bytes(bytes(column) if size == 1 else b"".join(
+            t.to_bytes(size, "little") for t in column), "little"))
     # unique[(wire, hi, lo)]: that node's id; 0, 1 the constants, 2 + i the leaf i
     unique = {(w, 1, 0): i for i, w in enumerate(leaves, 2)}
     memo: dict[tuple[int, int], int] = {}
@@ -78,8 +78,6 @@ def robdd(b: CircuitBuilder, selects: list[int], columns: Iterable[Sequence[int]
     def node(s: int, column: int) -> int:
         """The node of the function of selects s.. whose terminals are `column`."""
         if s == width:
-            if column >= len(leaves) + 2:
-                refuse(column)
             return column
         key = s, column
         if key not in memo:

@@ -16,6 +16,7 @@ from pathcirc import (
     BitVector,
     BudgetError,
     Circuit,
+    CircuitBuilder,
     ValidationError,
     WidthError,
     and_gate,
@@ -63,6 +64,15 @@ class TestBitVector:
             BitVector((0, 2))
         with pytest.raises(ValueError):
             BitVector.from_int(4, 2)
+
+    @pytest.mark.parametrize("bits", [(1.0, 0), ("1",), (2,), (-1,)])
+    def test_rejects_anything_but_0_and_1(self, bits):
+        with pytest.raises(ValueError, match=r"bits must be 0 or 1: \("):
+            BitVector(bits)
+
+    def test_bools_read_as_bits(self):
+        v = BitVector((True, False))
+        assert (str(v), v.value) == ("10", 2)
 
 
 class TestPrimitives:
@@ -422,3 +432,22 @@ class TestValueSemantics:
         with pytest.raises(FrozenInstanceError):
             delattr(c, name)
         assert c == and_gate()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: CircuitBuilder(1).fanout(0, 0), ValueError, "fanout needs n >= 1"),
+    (lambda: CircuitBuilder(1).and_chain([]), ValueError, "and_chain needs at least one wire"),
+    (lambda: CircuitBuilder(1).or_chain([]), ValueError, "or_chain needs at least one wire"),
+    (lambda: CircuitBuilder(1).splice(and_gate(), [0]), WidthError,
+     "splice expects 2 wires, got 1"),
+    (lambda: nary_and(0), ValueError, "nary_and needs n >= 1"),
+    (lambda: nary_or(0), ValueError, "nary_or needs n >= 1"),
+    (lambda: bus_copy(2, 0), ValueError, "bus_copy needs copies >= 1"),
+    (lambda: truth_columns(and_gate(), {2: 1}), WidthError, "fixed wire 2 is not a circuit input"),
+], ids=["fanout", "and_chain", "or_chain", "splice", "nary_and", "nary_or", "bus_copy",
+        "truth_columns"])
+def test_refusals(call, error, message):
+    """Each argument check refuses with its own type and message."""
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

@@ -241,6 +241,13 @@ class TestVerifyPath:
         one_error_line(capsys, "ParseError")
 
 
+    def test_edges_that_are_no_list_are_one_error_line(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        graph.write_text('{"vertices": ["a"], "edges": 5}', encoding="utf-8")
+        assert main(["compile", "--graph", str(graph), "--length", "1"]) == 1
+        assert capsys.readouterr().err == 'error: ParseError: "edges" must be a list\n'
+
+
 class TestEdgeCodes:
     def test_codes_agree_across_compile_verify_path_and_pad_path(self, tmp_path, capsys):
         # declared against (source, target) order, so the codes are not

@@ -16,8 +16,10 @@ import pytest
 
 from helpers import de_bruijn, random_multigraph
 from pathcirc import (
+    BitVector,
     EdgeStep,
     IdStep,
+    TruthTable,
     and_gate,
     bus_copy,
     edge_evaluator,
@@ -27,12 +29,14 @@ from pathcirc import (
     path_verifier,
     seq,
     snarkize,
+    synth,
     tensor,
     to_bristol,
     to_json,
     universal_verifier,
     xor_gate,
 )
+from pathcirc import universal
 from pathcirc.universal import universal_source
 
 ABC = parse_graph(
@@ -137,6 +141,23 @@ def test_benchmark_snark(workload, json_digest, bristol_digest):
 def test_universal_source():
     assert sha256(universal_source(8, 8)) == \
         "f13f836ee09b8113da09de231531c4502fcb464e1814402523fe26b7b964ddc6"
+
+
+def test_table_lowerings():
+    """Every packing of ``synth.robdd``: seeded tables at widths 1-12 with
+    1 and 3 outputs (one-byte terminals), the universal source lookup
+    at capacity (32, 32) (384 leaves, so two-byte terminals) and the
+    assigned-vertex check at (2, 300); one hash over their JSON text."""
+    rng = Random(22)
+    texts = []
+    for width in range(1, 13):
+        for outs in (1, 3):
+            rows = [BitVector.from_int(rng.randrange(1 << outs), outs) for _ in range(1 << width)]
+            texts.append(to_json(synth(TruthTable(width, outs, rows))))
+    texts.append(to_json(universal_source(32, 32)))
+    texts.append(to_json(universal._assigned(2, 300)))
+    assert text_sha256("".join(texts)) == \
+        "170ec707009dc3d37e526242f40b79dab305567c63d529956fb8a59e65565e95"
 
 
 # Two larger snarks, pinned by their Bristol text only: a seeded 64 V /

@@ -20,6 +20,7 @@ from pathcirc import (
     IdStep,
     ParseError,
     Path,
+    TruthTable,
     ValidationError,
     all_graphs,
     enumerate_graph,
@@ -319,3 +320,44 @@ class TestAllGraphs:
         monkeypatch.setenv("PATHCIRC_BUDGET", "graphs=100")
         with pytest.raises(BudgetError, match="PATHCIRC_BUDGET=graphs=N"):
             all_graphs(4, 4)
+
+
+EN_ABC = enumerate_graph(ABC)
+ONE_BIT_ROWS = (BitVector((0,)), BitVector((1,)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Graph(("a", "a"), ()), ValidationError, "duplicate vertex name"),
+    (lambda: Graph(("a",), (Edge("e", 0, 0), Edge("e", 0, 0))), ValidationError,
+     "duplicate edge name"),
+    (lambda: Graph(("a",), (Edge("e", 0, 1),)), ValidationError,
+     "edge 'e' has an endpoint out of range"),
+    (lambda: Enumeration(ABC, EN_ABC.v_bits, 1), ValidationError,
+     "1 edge bits cannot hold 2+3 codes"),
+    (lambda: EN_ABC.vertex_code(9), LookupError, "no vertex 9"),
+    (lambda: TruthTable(1, 1, ONE_BIT_ROWS[:1]), ValidationError, "table needs 2 rows, got 1"),
+    (lambda: TruthTable(1, 1, (ONE_BIT_ROWS[0], bv("01"))), ValidationError,
+     "row width does not match out_width"),
+    (lambda: TruthTable(1, 1, ONE_BIT_ROWS).lookup(bv("01")), ValidationError,
+     "expected 1-bit input"),
+    (lambda: GraphHom(ABC, ABC, (0, 1), (0, 1)), ValidationError,
+     "vmap/emap sizes do not match the domain graph"),
+    (lambda: GraphHom(ABC, ABC, (0, 1, 3), (0, 1)), ValidationError, "vmap value 3 out of range"),
+    (lambda: parse_graph('{"vertices": ["a"], "edges": 5}'), ParseError,
+     '"edges" must be a list'),
+    (lambda: parse_graph('{"vertices": ["a"], "edges": [["e", "a"]]}'), ParseError,
+     "edge 0: expected [name, source, target] strings"),
+], ids=["duplicate-vertex", "duplicate-edge", "endpoint-range", "edge-bits", "vertex-code",
+        "table-rows", "table-row-width", "table-lookup-width", "hom-sizes", "hom-vmap-range",
+        "edges-not-a-list", "edge-entry-short"])
+def test_refusals(call, error, message):
+    """Each structural check refuses with its own type and message."""
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+@pytest.mark.parametrize("start, steps", [(bv("1"), []), (bv("01"), [bv("1")])],
+                         ids=["start-width", "step-width"])
+def test_the_oracle_rejects_a_code_of_the_wrong_width(start, steps):
+    assert path_oracle(ABC, EN_ABC, start, steps) == (False, bv("00"))

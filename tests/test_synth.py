@@ -287,6 +287,23 @@ class TestWireLeaves:
             robdd(b, [0], [[0, 1], [1, terminal]], b.inputs()[1:])
         assert not b.kinds
 
+    @pytest.mark.parametrize("selects, column", [([0], [0, 1, 2]), ([0], [0, 1, 0, 0, 0]),
+                                                 ([], [0, 1])])
+    def test_a_column_longer_than_its_selects_read_is_refused(self, selects, column):
+        """A row past 2^len(selects) would be silently dropped, or its
+        bytes read as a terminal no row holds. Nothing is emitted."""
+        b = CircuitBuilder(1)
+        with pytest.raises(ValueError, match=f"a column has {len(column)} rows, over the "
+                                             f"2\\^{len(selects)} = {1 << len(selects)} "):
+            robdd(b, selects, [column])
+        assert not b.kinds
+
+    def test_the_first_bad_terminal_in_row_order_is_named(self):
+        b = CircuitBuilder(3)
+        with pytest.raises(ValueError, match="terminal 5 names no constant or leaf: there are 1"):
+            robdd(b, [0, 1], [[5, 0, 7, 0]], [2])
+        assert not b.kinds
+
     @pytest.mark.parametrize("length", [0, 1, 3])
     def test_a_short_column_reads_0_on_the_rows_it_leaves_out(self, length):
         width = 2

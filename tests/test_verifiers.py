@@ -16,8 +16,11 @@ from pathcirc import (
     IdStep,
     LengthError,
     Path,
+    ValidationError,
+    Verifier,
     WidthError,
     all_graphs,
+    and_gate,
     edge_evaluator,
     enumerate_graph,
     ext_equal,
@@ -30,6 +33,7 @@ from pathcirc import (
     snarkize,
     step_verifier,
     truth_columns,
+    universal_verifier,
 )
 from pathcirc.verifiers import fold
 
@@ -308,3 +312,15 @@ class TestFixedStepsMatchGenericVerifier:
                 witness = tuple(b for s in steps for b in en.step_code(s).bits)
                 fixed = {en.v_bits + i: bit for i, bit in enumerate(witness)}
                 assert truth_columns(pv.circuit, fixed) == truth_columns(composed.circuit)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Verifier(1, 0, 1, 1, and_gate()), ValidationError,
+     "circuit outputs do not match flag+state widths"),
+    (lambda: path_verifier(ABC, enumerate_graph(ABC), -1), ValueError, "k must be non-negative"),
+    (lambda: universal_verifier(1, 1, -1), ValueError, "k must be non-negative"),
+], ids=["output-widths", "path-k", "universal-k"])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
