@@ -6,17 +6,21 @@ Its select wires are read MSB first (in :func:`synth`, the inputs, so
 input wire 0 is the top variable), and each output bit is given as a
 column of terminals, one per row: a constant or a wire w of the
 circuit, such as a universal spec bit, which is the literal node
-(w, 1, 0). A node on wire s with children hi (s = 1) and lo (s = 0) is
-built once per distinct (s, hi, lo) and is a multiplexer,
-NAND(NAND(s, hi), NAND(NOT s, lo)), unless a child is constant: then
-it is the literal s or NOT s, an AND of a literal with the other child,
-or an OR, NAND(literal, NOT child). The nodes are emitted children
-first, each fanned out once to all its readers; each wire fans out to
-its positive reads and to one NOT that fans out to its negative reads.
-A constant output bit is one TRUE or FALSE gate. The named circuits
-built here -- the source/target lookups of a graph, the nonzero-aware
-MATCH comparator and the single-point filters -- are the building
-blocks of every verifier in the package.
+(w, 1, 0) (a leaf wire named twice is refused). Each column is reduced
+bottom-up, as a list of node ids, one per row, never packed: padded
+with 0 to one row per select pattern, it is halved once per select
+wire s, the last first, rows 2i (s = 0, lo) and 2i + 1 (s = 1, hi)
+becoming the node (s, hi, lo), or their one child when they name the
+same. A node is made once per distinct (s, hi, lo), after its
+children, and is a multiplexer, NAND(NAND(s, hi), NAND(NOT s, lo)),
+unless a child is constant: then it is the literal s or NOT s, an AND
+of a literal with the other child, or an OR, NAND(literal, NOT child).
+The nodes are emitted children first, each fanned out once to all its
+readers; each wire fans out to its positive reads and to one NOT that
+fans out to its negative reads. A constant output bit is one TRUE or
+FALSE gate. The named circuits built here -- the source/target lookups
+of a graph, the nonzero-aware MATCH comparator and the single-point
+filters -- are the building blocks of every verifier in the package.
 """
 
 from __future__ import annotations
@@ -51,17 +55,20 @@ def robdd(b: CircuitBuilder, selects: list[int], columns: Iterable[Sequence[int]
     """Emit into `b` one shared ROBDD of `columns` over the wires
     `selects`, read MSB first; return a wire per column. ``column[x]``
     is the column's terminal where the selects read x: 0 or 1 for that
-    constant, 2 + i for the wire ``leaves[i]`` of `b` (distinct). A
-    column has at most 2^len(selects) rows and is 0 on the rows it
-    leaves out. A longer column, or a terminal below 0 or past the last
-    leaf (the first such in row order is named), raises
-    :class:`ValueError` before any gate is emitted."""
+    constant, 2 + i for the wire ``leaves[i]`` of `b`. A column has at
+    most 2^len(selects) rows and is 0 on the rows it leaves out; it is
+    reduced bottom-up, the last select first. A repeated leaf wire, a
+    longer column, or a terminal below 0 or past the last leaf (the
+    first such in row order is named) raises :class:`ValueError`
+    before any gate is emitted."""
     width = len(selects)
     top = len(leaves) + 2
-    # each column is packed into one int, `size` bytes per row, to key the memo
-    size = ((top - 1).bit_length() + 7) // 8
-    k = 8 * size
-    packed = []
+    # unique[(wire, hi, lo)]: that node's id; 0, 1 the constants, 2 + i the leaf i
+    unique = {(w, 1, 0): i for i, w in enumerate(leaves, 2)}
+    if len(unique) < len(leaves):
+        repeated = next(w for i, w in enumerate(leaves, 2) if unique[w, 1, 0] != i)
+        raise ValueError(f"leaf wire {repeated} is repeated")
+    roots = []
     for column in columns:
         if len(column) > 1 << width:
             raise ValueError(f"a column has {len(column)} rows, over the "
@@ -69,25 +76,12 @@ def robdd(b: CircuitBuilder, selects: list[int], columns: Iterable[Sequence[int]
         if not 0 <= min(column, default=0) <= max(column, default=0) < top:
             raise ValueError(f"terminal {next(t for t in column if not 0 <= t < top)} "
                              f"names no constant or leaf: there are {len(leaves)} leaves")
-        packed.append(int.from_bytes(bytes(column) if size == 1 else b"".join(
-            t.to_bytes(size, "little") for t in column), "little"))
-    # unique[(wire, hi, lo)]: that node's id; 0, 1 the constants, 2 + i the leaf i
-    unique = {(w, 1, 0): i for i, w in enumerate(leaves, 2)}
-    memo: dict[tuple[int, int], int] = {}
-
-    def node(s: int, column: int) -> int:
-        """The node of the function of selects s.. whose terminals are `column`."""
-        if s == width:
-            return column
-        key = s, column
-        if key not in memo:
-            half = k << (width - 1 - s)
-            hi, lo = node(s + 1, column >> half), node(s + 1, column & ((1 << half) - 1))
-            memo[key] = hi if hi == lo else unique.setdefault((selects[s], hi, lo),
-                                                              len(unique) + 2)
-        return memo[key]
-
-    roots = [node(0, column) for column in packed]
+        # bottom-up, the last select first: it pairs rows 2i (lo) and 2i + 1 (hi)
+        nodes = [*column, *[0] * ((1 << width) - len(column))]
+        for s in reversed(selects):
+            nodes = [hi if hi == lo else unique.setdefault((s, hi, lo), len(unique) + 2)
+                     for lo, hi in zip(nodes[::2], nodes[1::2])]
+        roots += nodes  # the one node left: the column's root
     reads = [0] * (len(unique) + 2)
     for n in roots:
         reads[n] += 1

@@ -187,7 +187,7 @@ def _spec_valid(b: CircuitBuilder, spec: list[int], m: int, n: int,
     v_bits, rows = vertex_width(n), 1 << edge_width(m, n)
     codes = range(1 << v_bits)
     # the edgeless graph on n vertices holds the identity codes in its first n rows
-    (edgeless,) = all_graphs(n, 0)
+    edgeless = Graph(tuple(f"v{i + 1}" for i in range(n)), ())
     steps = source_table(enumerate_graph(edgeless), edgeless).rows
     layout = [_row(r, m, n) for r in range(rows)]
     uses = Counter(key for _, _, rule in layout for product in rule for key in product)

@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from pathcirc import BudgetError, all_graphs, and_gate, truth_columns, valid_graphs
+from pathcirc import (BudgetError, all_graphs, and_gate, truth_columns, universal_verifier,
+                      valid_graphs)
 from pathcirc.budget import check, limit
 from pathcirc.graphs import family_size
 
@@ -87,6 +88,17 @@ def test_valid_graphs_count_every_shape(monkeypatch):
     monkeypatch.setenv("PATHCIRC_BUDGET", "graphs=23")
     with pytest.raises(BudgetError, match=r"^capacity \(2, 2\) has more than 23 graphs"):
         valid_graphs(2, 2)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_the_universal_verifier_reads_no_graphs_budget(k, monkeypatch):
+    """The spec check builds its one edgeless graph itself: the graphs
+    budget bounds only the enumerated families."""
+    verifier = universal_verifier(1, 2, k)
+    monkeypatch.setenv("PATHCIRC_BUDGET", "graphs=0")
+    assert universal_verifier(1, 2, k) == verifier
+    with pytest.raises(BudgetError, match=r"^capacity \(1, 2\) has more than 0 graphs"):
+        valid_graphs(1, 2)
 
 
 def test_a_huge_capacity_is_refused_within_the_limit():

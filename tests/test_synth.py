@@ -280,8 +280,8 @@ class TestWireLeaves:
 
     @pytest.mark.parametrize("n_leaves, terminal", [(1, -1), (1, 300), (300, -1), (300, 70000)])
     def test_a_terminal_outside_the_packing_is_refused_by_name(self, n_leaves, terminal):
-        """Packed one byte per row (1 leaf) or two (300 leaves), these
-        terminals do not fit their bytes; they are refused as terminals."""
+        """Terminals below 0, or far past the last of 1 or 300 leaves,
+        are refused by name before any gate."""
         b = CircuitBuilder(1 + n_leaves)
         with pytest.raises(ValueError, match=f"terminal {terminal} names no"):
             robdd(b, [0], [[0, 1], [1, terminal]], b.inputs()[1:])
@@ -290,12 +290,21 @@ class TestWireLeaves:
     @pytest.mark.parametrize("selects, column", [([0], [0, 1, 2]), ([0], [0, 1, 0, 0, 0]),
                                                  ([], [0, 1])])
     def test_a_column_longer_than_its_selects_read_is_refused(self, selects, column):
-        """A row past 2^len(selects) would be silently dropped, or its
-        bytes read as a terminal no row holds. Nothing is emitted."""
+        """A row past 2^len(selects) is read by no select. Nothing is
+        emitted."""
         b = CircuitBuilder(1)
         with pytest.raises(ValueError, match=f"a column has {len(column)} rows, over the "
                                              f"2\\^{len(selects)} = {1 << len(selects)} "):
             robdd(b, selects, [column])
+        assert not b.kinds
+
+    @pytest.mark.parametrize("leaves, repeated", [([1, 1], 1), ([4, 2, 3, 2], 2)])
+    def test_a_repeated_leaf_is_refused_by_name(self, leaves, repeated):
+        """Two terminals that name one wire would be one literal node
+        under two ids. Nothing is emitted."""
+        b = CircuitBuilder(5)
+        with pytest.raises(ValueError, match=f"^leaf wire {repeated} is repeated$"):
+            robdd(b, [0], [[2, 3]], leaves)
         assert not b.kinds
 
     def test_the_first_bad_terminal_in_row_order_is_named(self):
@@ -316,7 +325,7 @@ class TestWireLeaves:
             assert c.evaluate(BitVector.from_int(a, c.n_inputs)).bits == (want,)
 
     def test_terminals_wider_than_a_byte(self):
-        # 300 leaves: terminals run to 301, packed two bytes per row
+        # 300 leaves: terminals run to 301
         b = CircuitBuilder(1 + 300)
         leaves = b.inputs()[1:]
         c = b.finish(robdd(b, [0], [[301, 2], [257, 1]], leaves))
