@@ -194,7 +194,9 @@ class Circuit:
         firsts = accumulate(kinds.translate(_N_OUT), initial=self.n_inputs)
         if ins and (min(ins) < 0 or not all(map(lt, ins, chain.from_iterable(
                 map(repeat, firsts, arities))))):
-            self._raise_undefined_read()
+            code, w = next((code, w) for code, reads, first in self._walk()
+                           for w in reads if not 0 <= w < first)
+            raise ValidationError(f"{KINDS[code]} gate reads undefined wire {w}")
         wires = self.wire_count
         if self.output_map and not (0 <= min(self.output_map) and max(self.output_map) < wires):
             bad = next(w for w in self.output_map if not 0 <= w < wires)
@@ -209,13 +211,11 @@ class Circuit:
         first read and cached on the circuit."""
         return _lower(self)
 
-    def _raise_undefined_read(self):
-        read = iter(self.ins)
-        next_wire = self.n_inputs
+    def _walk(self) -> Iterator[tuple[int, tuple[int, ...], int]]:
+        """Each gate's kind code, input wires and first output wire, in order."""
+        read, next_wire = iter(self.ins), self.n_inputs
         for code in self.kinds:
-            for w in islice(read, _N_IN[code]):
-                if not 0 <= w < next_wire:
-                    raise ValidationError(f"{KINDS[code]} gate reads undefined wire {w}")
+            yield code, tuple(islice(read, _N_IN[code])), next_wire
             next_wire += _N_OUT[code]
 
     def __repr__(self):
@@ -225,15 +225,8 @@ class Circuit:
     @property
     def gates(self) -> tuple[GateInstance, ...]:
         """The gates as :class:`GateInstance` objects, built on each access."""
-        out = []
-        read = iter(self.ins)
-        next_wire = self.n_inputs
-        for code in self.kinds:
-            n_out = _N_OUT[code]
-            out.append(GateInstance(KINDS[code], tuple(islice(read, _N_IN[code])),
-                                    tuple(range(next_wire, next_wire + n_out))))
-            next_wire += n_out
-        return tuple(out)
+        return tuple(GateInstance(KINDS[code], reads, tuple(range(w, w + _N_OUT[code])))
+                     for code, reads, w in self._walk())
 
     @property
     def n_outputs(self) -> int:

@@ -16,7 +16,7 @@ from pathlib import Path as FsPath
 
 from .circuits import CODE, NAND, BitVector, Circuit, ext_equal, nand_depth
 from .errors import ParseError, PathcircError
-from .formats import document_from_json, json_int, to_bristol, to_json
+from .formats import BRISTOL_LINE, document_from_json, json_int, to_bristol, to_json
 from .graphs import EdgeStep, Graph, IdStep, enumerate_graph, parse_graph, path_oracle
 from .universal import encode_graph, universal_verifier
 from .verifiers import Verifier, path_verifier, snarkize
@@ -192,7 +192,7 @@ def _circuit_stats(c: Circuit) -> dict:
         "nand_gates": by_kind[NAND],
         "nand_depth": nand_depth(c),
         "bristol_gates": int(bristol[0].split(" ", 1)[0]),
-        "bristol_by_op": {op: by_op[op] for op in ("AND", "XOR", "INV", "EQ", "EQW")},
+        "bristol_by_op": {op: by_op[op] for op in BRISTOL_LINE},
     }
 
 

@@ -151,9 +151,9 @@ def from_json(text: str) -> Circuit:
     return document_from_json(text).circuit
 
 
-#: The text of one Bristol gate of each operator, from its sources and its output wire.
-_BRISTOL_LINE = {op: f"{n} 1 {'%s ' * n}%s {op}"
-                 for op, n in (("AND", 2), ("XOR", 2), ("INV", 1), ("EQ", 1), ("EQW", 1))}
+#: The text of one Bristol gate of each operator the writer writes, from its sources and output.
+BRISTOL_LINE = {op: f"{n} 1 {'%s ' * n}%s {op}"
+                for op, n in (("AND", 2), ("XOR", 2), ("INV", 1), ("EQ", 1), ("EQW", 1))}
 
 
 def to_bristol(c: Circuit) -> str:
@@ -311,5 +311,5 @@ def to_bristol(c: Circuit) -> str:
              f"1 {n_in}" if n_in else "0",
              f"1 {c.n_outputs}" if c.n_outputs else "0",
              ""]
-    lines += [_BRISTOL_LINE[op] % (*ins, out) for op, ins, out in zip(ops, srcs, outs)]
+    lines += [BRISTOL_LINE[op] % (*ins, out) for op, ins, out in zip(ops, srcs, outs)]
     return "\n".join(lines) + "\n"

@@ -19,7 +19,6 @@ widths are clamped to at least one wire.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -265,9 +264,9 @@ def _endpoint_table(en: Enumeration, g: Graph, pick) -> TruthTable:
     # the budget synth applies to these tables, before any row
     budget.check("synth-width", en.e_bits, "an endpoint table", "inputs")
     # identity rows, then the edges in code order, then the unassigned codes
-    codes = [BitVector.from_int(i + 1, en.v_bits) for i in range(en.n_vertices)]
+    codes = [en.vertex_code(i) for i in range(en.n_vertices)]
     rows = codes + [codes[pick(g.edges[j])] for j in en.order]
-    rows += [BitVector.zeros(en.v_bits)] * ((1 << en.e_bits) - len(rows))
+    rows += [en.zero_vertex()] * ((1 << en.e_bits) - len(rows))
     return TruthTable(en.e_bits, en.v_bits, tuple(rows))
 
 
@@ -390,13 +389,13 @@ def parse_graph(text: str) -> Graph:
         if tgt not in index:
             raise ParseError(f"edge {i} ({name!r}): unknown target vertex {tgt!r}")
         parsed.append(Edge(name, index[src], index[tgt]))
-    # one pass over all the names: a lone surrogate, which a JSON \u
-    # escape can spell, is no text UTF-8 can write
+    # one pass over all the names: a lone surrogate, which a JSON \u escape can spell, is no
+    # text UTF-8 can write; encoding stops at the first, so the first name holding it is bad
     names = vertices + [e.name for e in parsed]
     try:
         "".join(names).encode()
     except UnicodeEncodeError as exc:
-        i = bisect.bisect(list(itertools.accumulate(map(len, names))), exc.start)
+        i = next(i for i, name in enumerate(names) if exc.object[exc.start] in name)
         what, j = ("vertex", i) if i < len(vertices) else ("edge", i - len(vertices))
         raise ParseError(f"{what} {j}: name {names[i]!r} is not valid Unicode text") from None
     return Graph(tuple(vertices), tuple(parsed))

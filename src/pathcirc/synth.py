@@ -155,7 +155,7 @@ def assigned_vertex_circuit(en: Enumeration) -> Circuit:
     Rejects the reserved all-zero code and any spare code beyond the
     graph's vertices; constantly 0 for a graph with no vertices.
     """
-    rows = [BitVector((int(1 <= x <= en.n_vertices),)) for x in range(1 << en.v_bits)]
+    rows = [BitVector((int(en.decode_vertex(x) is not None),)) for x in range(1 << en.v_bits)]
     return synth(TruthTable(en.v_bits, 1, rows))
 
 

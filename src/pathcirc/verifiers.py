@@ -122,9 +122,12 @@ def assemble_step(v_bits: int, spec_bits: int, e_bits: int,
 def fold(step: Verifier, k: int) -> Verifier:
     """The k-fold composite of a step checker, k >= 1: :func:`compose` of
     k copies. Its flags are joined in a balanced tree, so the NAND depth
-    grows by at most 2*ceil(log2 k) over the step's."""
+    grows by at most 2*ceil(log2 k) over the step's. A k whose joins
+    alone pass the gate budget is refused before any copy is listed."""
     if k < 1:
         raise ValueError("fold needs k >= 1")
+    if k - 1 > budget.limit("gates"):
+        budget.check("gates", None, f"a composite of {k} verifiers", "gates")
     return compose(*[step] * k)
 
 

@@ -333,6 +333,8 @@ class TestStructuralValidity:
          "ins holds a wire id that is not an integer: 0.0"),
         ((1, (1 << 70, 0.0)), f"output_map references undefined wire {1 << 70}"),
         ((2, (2,), bytes([CODE[NAND]]), (1 << 70, 1)), f"NAND gate reads undefined wire {1 << 70}"),
+        ((1, (2,), bytes([CODE[NAND]] * 2), (0, 5, 3, 0)), "NAND gate reads undefined wire 5"),
+        ((1, (1,), bytes([CODE[COPY]]), (4,)), "COPY gate reads undefined wire 4"),
     ])
     def test_refusals_name_what_is_wrong(self, args, message):
         with pytest.raises(ValidationError) as refused:

@@ -459,10 +459,11 @@ class TestLibraryGateBudget:
         assert main(["compile", "--graph", ab_graph, "--length", "0"]) == 0
 
 
-def one_error_line(capsys, name: str) -> None:
+def one_error_line(capsys, name: str) -> str:
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith(f"error: {name}: ")
+    return err
 
 
 class TestNoTraceback:
@@ -498,6 +499,13 @@ class TestNoTraceback:
         monkeypatch.setenv("PATHCIRC_BUDGET", raw)
         assert main(["compile", "--graph", ab_graph, "--length", "1"]) == 1
         one_error_line(capsys, "BudgetError")
+
+    def test_a_huge_length_is_one_error_line(self, ab_graph, capsys):
+        # the joins alone pass the gate budget, so no copy of the step is listed
+        for argv in (["compile", "--graph", ab_graph],
+                     ["compile-universal", "--max-vertices", "2", "--max-edges", "1"]):
+            assert main(argv + ["--length", str(2 ** 61)]) == 1
+            assert "more than 1048576 gates" in one_error_line(capsys, "BudgetError")
 
     def test_encode_graph_is_bounded_by_the_synth_width(self, ab_graph, capsys, monkeypatch):
         monkeypatch.setenv("PATHCIRC_BUDGET", "synth-width=3")

@@ -59,7 +59,7 @@ def text_sha256(text: str) -> str:
     (0, "ead314decb06a01f6e4a79b2d9e66f97766786a6a9feda600075a5762702df3f"),
     (1, "adc828881cd566828c2ecbde70ba4cd4582e45d533b5f658676e217db4e375fb"),
     (3, "10a5e1fc7d7621d615f29c387a3028c910385495904e9ac0aa5212a1529d376e"),
-])
+], ids=["k0", "k1", "k3"])
 def test_path_verifier(k, digest):
     assert sha256(path_verifier(ABC, enumerate_graph(ABC), k).circuit) == digest
 
@@ -78,7 +78,7 @@ def test_snarkized_path_verifier():
 @pytest.mark.parametrize("k, digest", [
     (0, "41faf8161d9160d21bbb939c9fe02267dbca7ee3443b8dbdce29963f25ee3dcb"),
     (2, "9d0722aaf422725c34a69cc722afa983ead8c16f963b2093c360731577014b28"),
-])
+], ids=["k0", "k2"])
 def test_universal_verifier(k, digest):
     assert sha256(universal_verifier(1, 1, k).circuit) == digest
 
@@ -88,7 +88,7 @@ def test_universal_verifier(k, digest):
 @pytest.mark.parametrize("m, n, digest", [
     (1, 1, "e1f67365cf06c2a19ab2e1183e2e6f35671292b9052fba9748930bd05a6d5863"),
     (2, 2, "d7be80776e14b718005b86d0465f4ba3e70ea258b9198647d70e7e07c1a022c1"),
-])
+], ids=["m1-n1", "m2-n2"])
 def test_universal_verifier_nested_fold(m, n, digest):
     assert sha256(universal_verifier(m, n, 3).circuit) == digest
 
@@ -96,7 +96,7 @@ def test_universal_verifier_nested_fold(m, n, digest):
 @pytest.mark.parametrize("step, digest", [
     (EdgeStep(0), "968e3292d152a9115b987c3e64fc733d91a2030e0553a29b301ee9ce14afbdf8"),
     (IdStep(1), "3b3840f6728671773f7a7498d54e0af8fd8d66818c662e9327dfb79c02ac651a"),
-])
+], ids=["edge0", "id1"])
 def test_edge_evaluator(step, digest):
     assert sha256(edge_evaluator(ABC, enumerate_graph(ABC), step).circuit) == digest
 
@@ -135,7 +135,7 @@ BENCHMARK_VERIFIERS = {
     ("universal",
      "cb185d96b7a721c94108eeb404b6bca7097b6640a6355089d6d74c84c212aa03",
      "8bbf1bdb053d7b5a4683752d3b947a37c222f38d91076a758743acbd229e4b07"),
-])
+], ids=["long-walk", "wide-graph", "universal"])
 def test_benchmark_snark(workload, json_digest, bristol_digest):
     snark = snarkize(BENCHMARK_VERIFIERS[workload]())
     assert (sha256(snark), text_sha256(to_bristol(snark))) == (json_digest, bristol_digest)

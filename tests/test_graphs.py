@@ -347,9 +347,14 @@ ONE_BIT_ROWS = (BitVector((0,)), BitVector((1,)))
      '"edges" must be a list'),
     (lambda: parse_graph('{"vertices": ["a"], "edges": [["e", "a"]]}'), ParseError,
      "edge 0: expected [name, source, target] strings"),
+    (lambda: parse_graph(r'{"vertices": ["\ud83d\ude00", "b\udc00"]}'), ParseError,
+     r"vertex 1: name 'b\udc00' is not valid Unicode text"),
+    (lambda: parse_graph(r'{"vertices": ["a", "b\udc00"], "edges": [["\udc00", "a", "a"]]}'),
+     ParseError, r"vertex 1: name 'b\udc00' is not valid Unicode text"),
 ], ids=["duplicate-vertex", "duplicate-edge", "endpoint-range", "edge-bits", "vertex-code",
         "table-rows", "table-row-width", "table-lookup-width", "hom-sizes", "hom-vmap-range",
-        "edges-not-a-list", "edge-entry-short"])
+        "edges-not-a-list", "edge-entry-short", "surrogate-after-astral-name",
+        "surrogate-in-two-names"])
 def test_refusals(call, error, message):
     """Each structural check refuses with its own type and message."""
     with pytest.raises(error) as info:

@@ -100,6 +100,17 @@ class TestGateBudget:
             verifiers.fold(step, k)
 
     @pytest.mark.parametrize("kind", ["fixed", "universal"])
+    @pytest.mark.parametrize("limit, k", [(1 << 20, 2 ** 61), (2, 4)])
+    def test_a_fold_whose_joins_alone_pass_the_budget_lists_no_copy(self, kind, limit, k,
+                                                                     monkeypatch):
+        step = build(kind, 1)
+        monkeypatch.setenv("PATHCIRC_BUDGET", f"gates={limit}")
+        monkeypatch.setattr(verifiers, "compose", lambda *parts: pytest.fail("listed copies"))
+        with pytest.raises(BudgetError, match=f"^a composite of {k} verifiers has more than "
+                                              f"{limit} gates"):
+            verifiers.fold(step, k)
+
+    @pytest.mark.parametrize("kind", ["fixed", "universal"])
     def test_compose_one_gate_over_is_refused_before_building(self, kind, monkeypatch):
         f = build(kind, 1)
         g = verifier_identity(f.out_width, f.spec_width)
