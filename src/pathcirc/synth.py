@@ -6,21 +6,20 @@ Its select wires are read MSB first (in :func:`synth`, the inputs, so
 input wire 0 is the top variable), and each output bit is given as a
 column of terminals, one per row: a constant or a wire w of the
 circuit, such as a universal spec bit, which is the literal node
-(w, 1, 0) (a leaf wire named twice is refused). Each column is reduced
-bottom-up, as a list of node ids, one per row, never packed: padded
-with 0 to one row per select pattern, it is halved once per select
-wire s, the last first, rows 2i (s = 0, lo) and 2i + 1 (s = 1, hi)
-becoming the node (s, hi, lo), or their one child when they name the
-same. A node is made once per distinct (s, hi, lo), after its
-children, and is a multiplexer, NAND(NAND(s, hi), NAND(NOT s, lo)),
-unless a child is constant: then it is the literal s or NOT s, an AND
-of a literal with the other child, or an OR, NAND(literal, NOT child).
-The nodes are emitted children first, each fanned out once to all its
-readers; each wire fans out to its positive reads and to one NOT that
-fans out to its negative reads. A constant output bit is one TRUE or
-FALSE gate. The named circuits built here -- the source/target lookups
-of a graph, the nonzero-aware MATCH comparator and the single-point
-filters -- are the building blocks of every verifier in the package.
+(w, 1, 0). Each column is reduced bottom-up: padded with 0 to one row
+per select pattern, it is halved once per select wire s, the last
+first, rows 2i (s = 0, lo) and 2i + 1 (s = 1, hi) becoming the node
+(s, hi, lo), or their one child when they name the same. A node is
+made once per distinct (s, hi, lo), after its children, and is a
+multiplexer, NAND(NAND(s, hi), NAND(NOT s, lo)), unless a child is
+constant: then it is the literal s or NOT s, an AND of a literal with
+the other child, or an OR, NAND(literal, NOT child). One table holds
+one NAND per ordered operand pair (a wire or an earlier NAND), NOT x
+being NAND(x, x) and NOT of a NOT its operand; the NANDs the roots
+read are emitted in that order, each wire and NAND fanned out once to
+all its readers. A constant output bit is one TRUE or FALSE gate. The
+circuits named here -- a graph's source/target lookups, the
+nonzero-aware MATCH and the single-point filters -- build every verifier.
 """
 
 from __future__ import annotations
@@ -56,11 +55,11 @@ def robdd(b: CircuitBuilder, selects: list[int], columns: Iterable[Sequence[int]
     `selects`, read MSB first; return a wire per column. ``column[x]``
     is the column's terminal where the selects read x: 0 or 1 for that
     constant, 2 + i for the wire ``leaves[i]`` of `b`. A column has at
-    most 2^len(selects) rows and is 0 on the rows it leaves out; it is
-    reduced bottom-up, the last select first. A repeated leaf wire, a
-    longer column, or a terminal below 0 or past the last leaf (the
-    first such in row order is named) raises :class:`ValueError`
-    before any gate is emitted."""
+    most 2^len(selects) rows and is 0 on the rows it leaves out. No two
+    NANDs emitted read the same ordered pair, and none is a NOT of a
+    NOT. A repeated leaf wire, a longer column, or a terminal below 0
+    or past the last leaf (the first such in row order is named) raises
+    :class:`ValueError` before any gate is emitted."""
     width = len(selects)
     top = len(leaves) + 2
     # unique[(wire, hi, lo)]: that node's id; 0, 1 the constants, 2 + i the leaf i
@@ -82,46 +81,47 @@ def robdd(b: CircuitBuilder, selects: list[int], columns: Iterable[Sequence[int]
             nodes = [hi if hi == lo else unique.setdefault((s, hi, lo), len(unique) + 2)
                      for lo, hi in zip(nodes[::2], nodes[1::2])]
         roots += nodes  # the one node left: the column's root
-    reads = [0] * (len(unique) + 2)
-    for n in roots:
-        reads[n] += 1
-    # reads of each wire's two literals: a literal node is read where it
-    # is read, a node with a constant child reads s (if lo is constant) or
-    # NOT s (if hi is), and a multiplexer reads both. Parents come after
-    # their children, so a node's reads are all counted when it is reached.
-    positive = dict.fromkeys([*selects, *leaves], 0)
-    negative = dict.fromkeys(positive, 0)
-    for (s, hi, lo), n in reversed(unique.items()):
-        reads[hi] += 1
-        reads[lo] += 1
-        if hi < 2 and lo < 2:
-            (positive if hi else negative)[s] += reads[n]
-        else:
-            positive[s] += hi > 1
-            negative[s] += lo > 1
-    # then each wire's literals: the copies of s and of NOT s to be read
-    for s, p in positive.items():
-        q = negative[s]
-        fan = b.fanout(s, p + (q > 0)) if p + q else []
-        positive[s], negative[s] = fan[:p], b.fanout(b.not_(fan[-1]), q) if q else []
-    wires: dict[int, list[int]] = {}
+    # nands[x, y]: the id of NAND(x, y), -1 down; negation[x]: NOT x, and back
+    nands: dict[tuple[int, int], int] = {}
+    negation: dict[int, int] = {}
+
+    def nand(x: int, y: int) -> int:
+        return nands.setdefault((x, y), ~len(nands))
+
+    def not_(x: int) -> int:
+        if x not in negation:
+            negation[x] = nand(x, x)
+            negation[negation[x]] = x
+        return negation[x]
+
+    value: dict[int, int] = {}  # value[n]: node n's operand
     for (s, hi, lo), n in unique.items():  # in creation order, so children first
-        pos, neg = positive[s], negative[s]
         if hi < 2 and lo < 2:
-            wires[n] = pos if hi else neg
-            continue
-        if lo == 0:
-            w = b.and_(pos.pop(), wires[hi].pop())
+            value[n] = s if hi else not_(s)
+        elif lo == 0:
+            value[n] = not_(nand(s, value[hi]))
         elif hi == 0:
-            w = b.and_(neg.pop(), wires[lo].pop())
+            value[n] = not_(nand(not_(s), value[lo]))
         elif hi == 1:
-            w = b.nand(neg.pop(), b.not_(wires[lo].pop()))
+            value[n] = nand(not_(s), not_(value[lo]))
         elif lo == 1:
-            w = b.nand(pos.pop(), b.not_(wires[hi].pop()))
+            value[n] = nand(s, not_(value[hi]))
         else:
-            w = b.nand(b.nand(pos.pop(), wires[hi].pop()), b.nand(neg.pop(), wires[lo].pop()))
-        wires[n] = b.fanout(w, reads[n])
-    return [wires[n].pop() if n > 1 else b.true() if n else b.false() for n in roots]
+            value[n] = nand(nand(s, value[hi]), nand(not_(s), value[lo]))
+    # reads, counted parents first and only from the NANDs that are read
+    reads = dict.fromkeys([*selects, *leaves, *nands.values()], 0)
+    for v in [value[n] for n in roots if n > 1]:
+        reads[v] += 1
+    for (x, y), n in reversed(nands.items()):
+        if reads[n]:
+            reads[x] += 1
+            reads[y] += 1
+    wires = {w: b.fanout(w, reads[w]) for w in dict.fromkeys([*selects, *leaves]) if reads[w]}
+    for (x, y), n in nands.items():
+        if reads[n]:
+            w = b.nand(wires[x].pop(), wires[y].pop())
+            wires[n] = [w] if reads[n] == 1 else b.fanout(w, reads[n])
+    return [wires[value[n]].pop() if n > 1 else b.true() if n else b.false() for n in roots]
 
 
 def match_circuit(width: int) -> Circuit:

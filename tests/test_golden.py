@@ -56,9 +56,9 @@ def text_sha256(text: str) -> str:
 
 
 @pytest.mark.parametrize("k, digest", [
-    (0, "ead314decb06a01f6e4a79b2d9e66f97766786a6a9feda600075a5762702df3f"),
-    (1, "adc828881cd566828c2ecbde70ba4cd4582e45d533b5f658676e217db4e375fb"),
-    (3, "10a5e1fc7d7621d615f29c387a3028c910385495904e9ac0aa5212a1529d376e"),
+    (0, "5dda80f3921027b4e247f9cec1f21736a46f0f4ecca7850b1e15fcd29fe1af45"),
+    (1, "eb5ec11308f20daf77ecbcb6ed3f4c7b87300392b23173e0c8142c2a331bccae"),
+    (3, "43456fc3bc72a5f6c84641ee781d05aad14b42bcafe3fb2c6b99d23ca360ce17"),
 ], ids=["k0", "k1", "k3"])
 def test_path_verifier(k, digest):
     assert sha256(path_verifier(ABC, enumerate_graph(ABC), k).circuit) == digest
@@ -66,18 +66,18 @@ def test_path_verifier(k, digest):
 
 def test_path_verifier_long_fold():
     assert sha256(path_verifier(ABC, enumerate_graph(ABC), 8).circuit) == \
-        "324ff92ec0ce882f4a9aa55b7608e123f3cda68ee0ecb02cc202a04c01262d92"
+        "00cd4f8360e33d79f26bdf96ac04a01aab6cae7d54674872193e1356351a12ea"
 
 
 def test_snarkized_path_verifier():
     pv = path_verifier(ABC, enumerate_graph(ABC), 3)
     assert sha256(snarkize(pv)) == \
-        "c377de1cf50e6d72af3b1dfb0caae438db0ffd68238c8a7a9150757c070983c7"
+        "964ff1269c36a630f8e9300639d1ac839d893d877e35b689c6e79fd8ff62a68a"
 
 
 @pytest.mark.parametrize("k, digest", [
-    (0, "41faf8161d9160d21bbb939c9fe02267dbca7ee3443b8dbdce29963f25ee3dcb"),
-    (2, "9d0722aaf422725c34a69cc722afa983ead8c16f963b2093c360731577014b28"),
+    (0, "dff34d36779f46876ccacac406ffbd4e7c792494a2d181bb9f6bfcbbf20f771e"),
+    (2, "5b76515068be717a7aff836ad3c1101eba5655ba155ec515649d271934384022"),
 ], ids=["k0", "k2"])
 def test_universal_verifier(k, digest):
     assert sha256(universal_verifier(1, 1, k).circuit) == digest
@@ -86,16 +86,16 @@ def test_universal_verifier(k, digest):
 # k = 3 is the smallest fold that is not a single compose: one three-way
 # spec fan-out, and both flag ANDs after the last step.
 @pytest.mark.parametrize("m, n, digest", [
-    (1, 1, "e1f67365cf06c2a19ab2e1183e2e6f35671292b9052fba9748930bd05a6d5863"),
-    (2, 2, "d7be80776e14b718005b86d0465f4ba3e70ea258b9198647d70e7e07c1a022c1"),
+    (1, 1, "e2c918cc603dafc8a837994ac5a9187704f9b82c8b47784e3cdda5923a886189"),
+    (2, 2, "0de135e3e5c65bb38b7e2944798ef04312840bc1f0a6c4f23da85865934665e5"),
 ], ids=["m1-n1", "m2-n2"])
 def test_universal_verifier_nested_fold(m, n, digest):
     assert sha256(universal_verifier(m, n, 3).circuit) == digest
 
 
 @pytest.mark.parametrize("step, digest", [
-    (EdgeStep(0), "968e3292d152a9115b987c3e64fc733d91a2030e0553a29b301ee9ce14afbdf8"),
-    (IdStep(1), "3b3840f6728671773f7a7498d54e0af8fd8d66818c662e9327dfb79c02ac651a"),
+    (EdgeStep(0), "514b9774a42b56359f7fdecbfc062b00585dd9c8b76e430ff98266fabeb91b28"),
+    (IdStep(1), "eb02f3722b6177807aa193fc92917e9cb89e3dd9c9d62e2a5792dfa6c7106518"),
 ], ids=["edge0", "id1"])
 def test_edge_evaluator(step, digest):
     assert sha256(edge_evaluator(ABC, enumerate_graph(ABC), step).circuit) == digest
@@ -127,13 +127,13 @@ BENCHMARK_VERIFIERS = {
 
 @pytest.mark.parametrize("workload, json_digest, bristol_digest", [
     ("long-walk",
-     "09c7622d286f7b674de8497fbc7ee0dba82f2f0c50fb71562804b840c994ccb0",
-     "ed87892c8ea080798d192f4d99206074aca93339e1546195f9cbae75fcc163b6"),
+     "a86ce35b3b7b982c92e4d4a9225159ae841f55abfea5ed22c0e8993708d53fd8",
+     "50ecf6ecea743e4d83f551e662f59d57309e53fef74fb084e2d00432c1b06d02"),
     ("wide-graph",
-     "570b02396b6860dd8d7f0e7a7d7d046541cfffba0a007bf3ddfa31fc243326f5",
-     "ab8299dbf61ea348f686d0a7e11997f3fbcf2a0552e0658cf275dcdb2a4b60f8"),
+     "f190da1edf354f0f59122361ba57bbf2d2a0edf86c03ac5d52d1e8a1397112d9",
+     "791e6959f68c015873a3df7832deee31fc88b30b7d4853d599e73b5566141eb9"),
     ("universal",
-     "cb185d96b7a721c94108eeb404b6bca7097b6640a6355089d6d74c84c212aa03",
+     "37a0b9c5e86fb26941e596adf5839e5e827b611f8cb093b6a8c5eb18e4a9ee40",
      "8bbf1bdb053d7b5a4683752d3b947a37c222f38d91076a758743acbd229e4b07"),
 ], ids=["long-walk", "wide-graph", "universal"])
 def test_benchmark_snark(workload, json_digest, bristol_digest):
@@ -143,7 +143,7 @@ def test_benchmark_snark(workload, json_digest, bristol_digest):
 
 def test_universal_source():
     assert sha256(universal_source(8, 8)) == \
-        "f88aeef624f8ebe87a18ee57858bbb262a00ddb1d57fb986f72cef4fff5ec152"
+        "c5265b8e34b3e5c24c8690abcb8a20afd59b5271eb23a1009739e8f1a74d6021"
 
 
 def table_lowerings() -> dict:
@@ -168,17 +168,17 @@ def test_table_lowerings():
     hash over their JSON text."""
     texts = [to_json(c) for c in table_lowerings().values()]
     assert text_sha256("".join(texts)) == \
-        "b25e3d060740808830e966f6799bc229a1829b36b632ad398d7f9d5665baf4c5"
+        "b473e0c528b6219d1bcf9d5a003a36a04b38003baa50ec888d6916c8b816e777"
 
 
 # Two larger snarks, pinned by their Bristol text only: a seeded 64 V /
-# 128 E graph at k = 2 (3,937 gates) and the universal (4,3) at k = 1
-# (1,094 gates).
+# 128 E graph at k = 2 (3,097 gates) and the universal (4,3) at k = 1
+# (1,030 gates).
 @pytest.mark.parametrize("verifier, digest", [
     (lambda: fixed_graph_verifier(random_multigraph(64, 128, Random(1909)), 2),
-     "cb5eaf1bac2bcaf4672d74bd19832b9e810d643d3c633ff80bbb90f8994c208c"),
+     "c75daa548d100352ee2aca12f68d4ef4f11fa85160e501db28ac8cdf4d3cdf37"),
     (lambda: universal_verifier(4, 3, 1),
-     "0cc7d97f26c840bc1779abb4871ef628cbed2af8cbc00aedc55484a0ed40e8a6"),
+     "f62b1e9a2735083563e7a00af95a704643aaf6a15a4927046bb65bda8aedf154"),
 ], ids=["fixed-64-128-k2", "universal-4-3-k1"])
 def test_bristol_snark(verifier, digest):
     assert text_sha256(to_bristol(snarkize(verifier()))) == digest
@@ -218,50 +218,50 @@ def sized() -> dict:
 # (gates, NAND gates, NAND depth, Bristol AND, XOR, INV, EQ, EQW) of each circuit
 SIZES = {
     "path_verifier-0": (7, 3, 2, 1, 0, 3, 0, 2),
-    "path_verifier-1": (88, 45, 13, 12, 10, 10, 0, 0),
-    "path_verifier-3": (270, 139, 17, 38, 30, 30, 0, 0),
-    "path_verifier-8": (725, 374, 19, 103, 80, 80, 0, 0),
-    "snarkized_path_verifier-3": (304, 158, 19, 42, 32, 35, 0, 0),
+    "path_verifier-1": (78, 40, 13, 12, 7, 10, 0, 0),
+    "path_verifier-3": (240, 124, 17, 38, 21, 30, 0, 0),
+    "path_verifier-8": (645, 334, 19, 103, 56, 80, 0, 0),
+    "snarkized_path_verifier-3": (274, 143, 19, 42, 23, 35, 0, 0),
     "universal_verifier-1-1-0": (31, 17, 9, 5, 2, 1, 0, 1),
     "universal_verifier-1-1-2": (179, 92, 17, 23, 18, 3, 0, 0),
     "universal_verifier-1-1-3": (272, 139, 19, 35, 27, 4, 0, 0),
     "universal_verifier-2-2-3": (1529, 775, 29, 299, 126, 101, 0, 0),
-    "edge_evaluator-step0": (91, 45, 13, 9, 10, 9, 2, 0),
-    "edge_evaluator-step1": (91, 45, 13, 12, 10, 9, 2, 0),
+    "edge_evaluator-step0": (81, 40, 13, 10, 7, 8, 2, 0),
+    "edge_evaluator-step1": (81, 40, 13, 12, 7, 9, 2, 0),
     "seq": (12, 6, 3, 1, 1, 0, 0, 0),
     "tensor": (38, 21, 8, 3, 3, 5, 0, 0),
-    "long-walk-snark": (2123, 1085, 27, 335, 292, 137, 0, 0),
-    "wide-graph-snark": (1136, 577, 27, 190, 238, 62, 0, 0),
+    "long-walk-snark": (2027, 1037, 26, 311, 292, 137, 0, 0),
+    "wide-graph-snark": (950, 484, 27, 162, 190, 52, 0, 0),
     "universal-snark": (1047, 535, 29, 203, 86, 77, 0, 0),
-    "universal_source-8-8": (2748, 1438, 31, 592, 312, 272, 0, 0),
-    "fixed-64-128-k2-snark": (3937, 1983, 31, 687, 929, 151, 0, 0),
-    "universal-4-3-k1-snark": (1094, 566, 29, 229, 76, 123, 0, 0),
+    "universal_source-8-8": (2564, 1346, 31, 546, 312, 272, 0, 0),
+    "fixed-64-128-k2-snark": (3097, 1563, 31, 549, 721, 137, 0, 0),
+    "universal-4-3-k1-snark": (1030, 534, 29, 213, 76, 123, 0, 0),
     "synth-1-1": (1, 0, 0, 0, 0, 0, 1, 0),
     "synth-1-3": (2, 0, 0, 0, 0, 0, 0, 3),
     "synth-2-1": (5, 3, 3, 1, 0, 1, 0, 0),
-    "synth-2-3": (15, 7, 3, 2, 2, 2, 0, 1),
-    "synth-3-1": (18, 10, 5, 3, 2, 2, 0, 0),
-    "synth-3-3": (36, 18, 5, 6, 6, 3, 0, 0),
-    "synth-4-1": (35, 19, 7, 6, 6, 4, 0, 0),
-    "synth-4-3": (87, 44, 7, 15, 20, 6, 0, 0),
-    "synth-5-1": (68, 36, 9, 12, 14, 4, 0, 0),
-    "synth-5-3": (168, 85, 9, 30, 40, 7, 0, 0),
-    "synth-6-1": (113, 59, 11, 20, 26, 7, 0, 0),
-    "synth-6-3": (269, 136, 11, 48, 68, 12, 0, 0),
-    "synth-7-1": (218, 112, 13, 38, 58, 11, 0, 0),
-    "synth-7-3": (548, 276, 13, 95, 158, 16, 0, 0),
-    "synth-8-1": (397, 202, 15, 70, 108, 16, 0, 0),
-    "synth-8-3": (1025, 515, 15, 176, 310, 22, 0, 0),
-    "synth-9-1": (754, 381, 17, 131, 220, 21, 0, 0),
-    "synth-9-3": (1890, 948, 17, 325, 578, 45, 0, 0),
-    "synth-10-1": (1369, 689, 19, 236, 414, 34, 0, 0),
-    "synth-10-3": (3387, 1697, 19, 581, 1050, 76, 0, 0),
-    "synth-11-1": (2436, 1223, 21, 417, 756, 48, 0, 0),
-    "synth-11-3": (5896, 2952, 21, 1002, 1874, 95, 0, 0),
-    "synth-12-1": (4225, 2118, 23, 722, 1324, 82, 0, 0),
-    "synth-12-3": (10515, 5262, 23, 1775, 3400, 135, 0, 0),
-    "universal_source-32-32": (25444, 13106, 43, 5096, 4588, 1664, 0, 0),
-    "assigned-2-300": (125652, 67438, 61, 29262, 1770, 12907, 0, 0),
+    "synth-2-3": (13, 6, 3, 2, 1, 2, 0, 2),
+    "synth-3-1": (14, 8, 5, 3, 2, 2, 0, 0),
+    "synth-3-3": (34, 17, 5, 6, 6, 3, 0, 0),
+    "synth-4-1": (29, 16, 6, 6, 6, 4, 0, 0),
+    "synth-4-3": (69, 35, 7, 15, 14, 6, 0, 0),
+    "synth-5-1": (54, 29, 9, 11, 10, 5, 0, 0),
+    "synth-5-3": (136, 69, 9, 27, 31, 7, 0, 0),
+    "synth-6-1": (97, 51, 11, 17, 25, 7, 0, 0),
+    "synth-6-3": (223, 113, 11, 43, 55, 11, 0, 0),
+    "synth-7-1": (182, 94, 13, 36, 46, 9, 0, 0),
+    "synth-7-3": (424, 214, 13, 78, 120, 13, 0, 0),
+    "synth-8-1": (315, 161, 15, 61, 84, 12, 0, 0),
+    "synth-8-3": (767, 386, 15, 132, 234, 15, 0, 0),
+    "synth-9-1": (566, 287, 17, 98, 170, 17, 0, 0),
+    "synth-9-3": (1382, 694, 17, 243, 424, 25, 0, 0),
+    "synth-10-1": (1009, 509, 19, 166, 318, 20, 0, 0),
+    "synth-10-3": (2487, 1247, 19, 449, 757, 39, 0, 0),
+    "synth-11-1": (1804, 907, 21, 314, 560, 24, 0, 0),
+    "synth-11-3": (4350, 2179, 21, 797, 1336, 42, 0, 0),
+    "synth-12-1": (3155, 1583, 23, 572, 965, 37, 0, 0),
+    "synth-12-3": (7605, 3807, 23, 1286, 2466, 47, 0, 0),
+    "universal_source-32-32": (23708, 12238, 43, 4674, 4588, 1664, 0, 0),
+    "assigned-2-300": (109744, 59484, 61, 25758, 1770, 12907, 0, 0),
 }
 
 

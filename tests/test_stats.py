@@ -23,15 +23,15 @@ def stats(path, capsys) -> dict:
 # as the benchmark records them.
 WORKLOADS = {
     "long-walk": (lambda: de_bruijn(3), 8, None, dict(
-        inputs=48, gates=2_123, wires=3_209, nand_gates=1_085, nand_depth=27,
-        bristol_gates=764,
-        bristol_by_op={"AND": 335, "XOR": 292, "INV": 137, "EQ": 0, "EQW": 0},
-        gates_by_kind={"NAND": 1_085, "COPY": 1_038, "TRUE": 0, "FALSE": 0})),
+        inputs=48, gates=2_027, wires=3_065, nand_gates=1_037, nand_depth=26,
+        bristol_gates=740,
+        bristol_by_op={"AND": 311, "XOR": 292, "INV": 137, "EQ": 0, "EQW": 0},
+        gates_by_kind={"NAND": 1_037, "COPY": 990, "TRUE": 0, "FALSE": 0})),
     "wide-graph": (lambda: random_multigraph(32, 64, Random(1909)), 1, None, dict(
-        inputs=19, gates=1_136, wires=1_714, nand_gates=577, nand_depth=27,
-        bristol_gates=490,
-        bristol_by_op={"AND": 190, "XOR": 238, "INV": 62, "EQ": 0, "EQW": 0},
-        gates_by_kind={"NAND": 577, "COPY": 559, "TRUE": 0, "FALSE": 0})),
+        inputs=19, gates=950, wires=1_435, nand_gates=484, nand_depth=27,
+        bristol_gates=404,
+        bristol_by_op={"AND": 162, "XOR": 190, "INV": 52, "EQ": 0, "EQW": 0},
+        gates_by_kind={"NAND": 484, "COPY": 466, "TRUE": 0, "FALSE": 0})),
     "universal": (None, 2, (2, 2), dict(
         inputs=24, gates=1_047, wires=1_583, nand_gates=535, nand_depth=29,
         bristol_gates=366,

@@ -175,6 +175,31 @@ def table_of_columns(in_width: int, columns: list[int]) -> TruthTable:
         BitVector(tuple((col >> x) & 1 for col in columns)) for x in range(1 << in_width)))
 
 
+def random_columns():
+    """Seeded (in_width, columns) pairs, widths 0-10, whose columns mix
+    constants, repeats and random bits."""
+    rng = Random(10)
+    for in_width in range(11):
+        full = (1 << (1 << in_width)) - 1
+        for _ in range(6):
+            columns = []
+            for _ in range(rng.randrange(1, 5)):
+                kind = rng.randrange(4)
+                columns.append(0 if kind == 0 else full if kind == 1 else
+                               rng.choice(columns) if kind == 2 and columns else
+                               rng.getrandbits(1 << in_width))
+            yield in_width, columns
+
+
+def hashing_faults(c) -> tuple[int, int]:
+    """In the NAND program of `c`: how many NANDs repeat an earlier
+    ordered operand pair, and how many are a NOT of a NOT."""
+    left, right, _ = c._program
+    pairs = list(zip(left, right))
+    nots = {c.n_inputs + 2 + i for i, (x, y) in enumerate(pairs) if x == y}
+    return len(pairs) - len(set(pairs)), sum(x == y and x in nots for x, y in pairs)
+
+
 class TestSharedDiagram:
     def test_every_small_graph_table(self):
         for n in range(4):
@@ -185,18 +210,8 @@ class TestSharedDiagram:
                         assert truth_columns(synth(table)) == table_columns(table)
 
     def test_random_tables_with_constant_and_duplicate_bits(self):
-        rng = Random(10)
-        for in_width in range(11):
-            full = (1 << (1 << in_width)) - 1
-            for _ in range(6):
-                columns = []
-                for _ in range(rng.randrange(1, 5)):
-                    kind = rng.randrange(4)
-                    columns.append(0 if kind == 0 else full if kind == 1 else
-                                   rng.choice(columns) if kind == 2 and columns else
-                                   rng.getrandbits(1 << in_width))
-                table = table_of_columns(in_width, columns)
-                assert truth_columns(synth(table)) == columns
+        for in_width, columns in random_columns():
+            assert truth_columns(synth(table_of_columns(in_width, columns))) == columns
 
     def test_a_repeated_output_bit_costs_one_more_read(self):
         rng = Random(11)
@@ -211,14 +226,26 @@ class TestSharedDiagram:
         # B(2, 3): 8 id codes and 16 edges on 5 bits, 4-bit vertex codes
         g = parse_graph(json.dumps(de_bruijn(3)))
         en = enumerate_graph(g)
-        assert source_circuit(g, en).gate_count + target_circuit(g, en).gate_count == 182
+        assert source_circuit(g, en).gate_count + target_circuit(g, en).gate_count == 170
 
     def test_seeded_multigraph_lookups(self):
-        # 64 vertices, 128 edges: 2,312 gates with the edges coded in
-        # declaration order, 1,776 in (source, target) order
+        # 64 vertices, 128 edges, the edges coded in (source, target) order
         g = parse_graph(json.dumps(random_multigraph(64, 128, Random(1909))))
         en = enumerate_graph(g)
-        assert source_circuit(g, en).gate_count + target_circuit(g, en).gate_count == 1_776
+        assert source_circuit(g, en).gate_count + target_circuit(g, en).gate_count == 1_356
+
+    @pytest.mark.parametrize("doc", [de_bruijn(3), random_multigraph(32, 64, Random(1909)),
+                                     random_multigraph(200, 500, Random(1909))],
+                             ids=["de-bruijn-3", "multigraph-32-64", "multigraph-200-500"])
+    def test_graph_lookups_hold_one_nand_per_operand_pair(self, doc):
+        g = parse_graph(json.dumps(doc))
+        en = enumerate_graph(g)
+        for c in (source_circuit(g, en), target_circuit(g, en)):
+            assert hashing_faults(c) == (0, 0)
+
+    def test_random_tables_hold_one_nand_per_operand_pair(self):
+        for in_width, columns in random_columns():
+            assert hashing_faults(synth(table_of_columns(in_width, columns))) == (0, 0)
 
 
 MATCH2_ROWS = [

@@ -136,7 +136,7 @@ def test_step_gates_is_exact(m, n, monkeypatch):
 
 
 @pytest.mark.parametrize("m, n, gates, depth", [
-    (2, 2, 497, 25), (4, 3, 1_060, 27), (8, 8, 5_695, 41), (16, 16, 17_098, 49)])
+    (2, 2, 497, 25), (4, 3, 996, 27), (8, 8, 5_327, 41), (16, 16, 15_882, 49)])
 def test_step_size_with_the_lookups_as_one_robdd(m, n, gates, depth):
     """The step's size and NAND depth with both lookups lowered by
     ``synth.robdd`` over the edge code, the table cells as leaves, and
